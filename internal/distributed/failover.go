@@ -544,9 +544,11 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 
 // fitSegment runs one fit over the segment's iterator, catching the
 // scheduled-death panic: a killed rank's partial fit history dies with
-// the process, its Darshan records are exported at the death instant
-// (the simulator's failure oracle) and the dead incarnation's pipeline
-// threads are reaped (a real crash takes its threads with it).
+// the process, the dead incarnation's pipeline threads are reaped (a real
+// crash takes its threads with it) and then its Darshan records are
+// exported (the simulator's failure oracle). Reaping first drains the
+// map reads still in flight, so every byte the pipeline received is in
+// the exported records.
 func (d *driver) fitSegment(t *sim.Thread, node *platform.Machine, model *keras.Model, it *tfdata.Iterator, cb *rankCallback, allReduce func(*sim.Thread, int), steps int) (hist *keras.History, killed int, err error) {
 	r := cb.rank
 	defer func() {
@@ -559,10 +561,10 @@ func (d *driver) fitSegment(t *sim.Thread, node *platform.Machine, model *keras.
 			panic(p)
 		}
 		killed = k.step
+		it.Close(t)
 		snap := node.Darshan.Export(t.Now())
 		snap.Faults = envFaultCounters(node.Env)
 		d.preFail[r] = append(d.preFail[r], snap)
-		it.Close(t)
 	}()
 	hist, err = model.Fit(t, node.Env, it, keras.FitOptions{
 		Steps:     steps,

@@ -7,6 +7,9 @@ import (
 	"repro/internal/darshan"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/tf"
+	"repro/internal/tf/tfdata"
+	"repro/internal/workload"
 )
 
 const ckptDir = platform.KebnekaiseLustre + "/ckpt"
@@ -258,6 +261,44 @@ func TestCheckpointRoundTripBytes(t *testing.T) {
 			if got := res.PerRank[r].RestoreBytes; got != want {
 				t.Fatalf("pattern %d: rank %d restored %d bytes, want %d", pattern, r, got, want)
 			}
+		}
+	}
+}
+
+// TestRankDeathBytesAccounted: every byte the input pipeline received —
+// including the map reads still in flight when a rank is killed — is a
+// POSIX read Darshan recorded, under both recovery protocols. Files of
+// ~4 MB keep the victim's map threads mid-read at the death instant.
+func TestRankDeathBytesAccounted(t *testing.T) {
+	for _, elastic := range []bool{false, true} {
+		opts := failoverOpts(CkptRank0)
+		opts.Elastic = elastic
+		var seen int64
+		opts.MapFn = func(t *sim.Thread, env *tf.Env, path string) (tfdata.Sample, error) {
+			s, err := workload.ImageNetMap(t, env, path)
+			if err == nil {
+				seen += s.Bytes
+			}
+			return s, err
+		}
+		c := platform.NewKebnekaiseCluster(4, platform.Options{PreloadDarshan: true})
+		spec := workload.DatasetSpec{
+			Name: "dist", Dir: platform.KebnekaiseLustre + "/dist",
+			NumFiles: 128, TotalBytes: 128 << 22, Seed: testSeed,
+		}
+		d, err := workload.Generate(c.FS, spec, workload.ImageNetSizes(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(c, d.Paths, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Failures) != 1 {
+			t.Fatalf("elastic=%v: %d failure records, want 1", elastic, len(res.Failures))
+		}
+		if got := res.Merged.TotalPosix(darshan.POSIX_BYTES_READ); got != seen {
+			t.Fatalf("elastic=%v: map function received %d bytes, merged POSIX_BYTES_READ is %d", elastic, seen, got)
 		}
 	}
 }
