@@ -165,27 +165,19 @@ func BenchmarkTuneRankAware(b *testing.B) { runArtifact(b, "tune") }
 // experiment.
 func BenchmarkPrefetchEpoch(b *testing.B) { runArtifact(b, "prefetch") }
 
-// BenchmarkFailover runs the failure/recovery experiment over the rank
-// ladder: the no-failure baseline vs one mid-epoch rank death with a 2s
-// node reboot under the rank-0 and all-ranks checkpoint patterns. The
-// headline failover_restore_delta_s metric (plus per-rung epoch times,
-// downtime and restore-burst bandwidth) lands in the BENCH_<n>.json perf
-// snapshots, so recovery-cost regressions are tracked per commit. The
-// restore-reads-after-failure, checkpoint rank-factor and equal-restore-
-// bytes invariants are verified inside the experiment.
-func BenchmarkFailover(b *testing.B) { runArtifact(b, "failover") }
-
-// BenchmarkElastic runs the elastic continue-on-failure experiment over
-// the rank ladder (ranks >= 2): the same mid-epoch rank death recovered by
-// checkpoint rollback vs elastically (survivors re-shard the victim's
+// BenchmarkRecovery runs the failure/recovery experiment over the rank
+// ladder (ranks >= 2): one rank dies three quarters through the epoch
+// with a 2s node reboot and the job recovers by rollback to rank-0 or
+// all-ranks checkpoints, or elastically (survivors re-shard the victim's
 // remaining work and keep committing steps), at every rung of a
 // transient-fault ladder (clean, flaky reads with bounded retries, an
-// MDS-brownout/degraded-OST storm). The headline elastic_downtime_delta_s
-// and retry_total metrics (plus per-rung rollback/elastic epoch times)
-// land in the BENCH_<n>.json perf snapshots. The elastic-beats-rollback,
-// no-restore-storm, reads-after-failure and clean-runs-retry-free
-// invariants are verified inside the experiment.
-func BenchmarkElastic(b *testing.B) { runArtifact(b, "elastic") }
+// MDS-brownout/degraded-OST storm). The headline recovery_restore_delta_s,
+// elastic_downtime_delta_s and retry_total metrics (plus per-rung epoch
+// times, downtime and restore-burst bandwidth) land in the BENCH_<n>.json
+// perf snapshots. The restore-reads-after-failure, checkpoint rank-factor,
+// equal-restore-bytes, elastic-beats-rollback, no-restore-storm and
+// clean-runs-retry-free invariants are verified inside the experiment.
+func BenchmarkRecovery(b *testing.B) { runArtifact(b, "recovery") }
 
 // BenchmarkDataService runs the disaggregated tf.data service experiment:
 // per worker-fleet size, a concurrent-job ramp ({4,16,64,256} jobs, each

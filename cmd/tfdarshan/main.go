@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"repro/internal/experiments"
@@ -35,12 +34,7 @@ func main() {
 	scale := fs.Float64("scale", 1.0, "dataset/step scale factor (1.0 = paper scale)")
 	seed := fs.Int64("seed", 0, "shuffle seed perturbation")
 	verify := fs.Bool("verify", false, "materialize and checksum all read content (slow; validates the zero-materialization fast path)")
-	ranks := fs.Int("ranks", 0, "pin the distributed 'ranks'/'tune' experiments to one rank count (0 = sweep 1,2,4,8)")
-	tune := fs.Bool("tune", false, "run the rank-aware tuning experiment (adds 'tune' to the id list)")
-	prefetchFlag := fs.Bool("prefetch", false, "run the clairvoyant prefetching experiment (adds 'prefetch' to the id list)")
-	failoverFlag := fs.Bool("failover", false, "run the failure/recovery experiment (adds 'failover' to the id list)")
-	elasticFlag := fs.Bool("elastic", false, "run the elastic-vs-rollback fault-ladder experiment (adds 'elastic' to the id list)")
-	dataserviceFlag := fs.Bool("dataservice", false, "run the disaggregated tf.data service experiment (adds 'dataservice' to the id list)")
+	ranks := fs.Int("ranks", 0, "pin the rank sweeps (ranks, tune, prefetch, recovery) and the dataservice fleet to one size (0 = sweep 1,2,4,8)")
 	parallel := fs.Int("parallel", 1, "simulation kernels to run concurrently on host CPUs (0 = one per core; results are byte-identical at any setting)")
 	outDir := fs.String("out", ".", "artifact output directory")
 	if err := fs.Parse(os.Args[2:]); err != nil {
@@ -78,21 +72,6 @@ func main() {
 			for _, r := range experiments.All() {
 				ids = append(ids, r.ID)
 			}
-		}
-		if *tune && !slices.Contains(ids, "tune") {
-			ids = append(ids, "tune")
-		}
-		if *prefetchFlag && !slices.Contains(ids, "prefetch") {
-			ids = append(ids, "prefetch")
-		}
-		if *failoverFlag && !slices.Contains(ids, "failover") {
-			ids = append(ids, "failover")
-		}
-		if *elasticFlag && !slices.Contains(ids, "elastic") {
-			ids = append(ids, "elastic")
-		}
-		if *dataserviceFlag && !slices.Contains(ids, "dataservice") {
-			ids = append(ids, "dataservice")
 		}
 		if len(ids) == 0 {
 			usage()
@@ -148,48 +127,42 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   tfdarshan list
-  tfdarshan run       [-scale f] [-seed n] [-verify] [-ranks n] [-tune] [-prefetch] [-failover] [-elastic] [-dataservice] [-parallel n] <id>...|all
-  tfdarshan metrics   [-scale f] [-seed n] [-verify] [-ranks n] [-tune] [-prefetch] [-failover] [-elastic] [-dataservice] [-parallel n] <id>...|all
+  tfdarshan run       [-scale f] [-seed n] [-verify] [-ranks n] [-parallel n] <id>...|all
+  tfdarshan metrics   [-scale f] [-seed n] [-verify] [-ranks n] [-parallel n] <id>...|all
   tfdarshan artifacts [-scale f] [-ranks n] [-out dir] <imagenet|malware|distributed>
 
 the "ranks" experiment shards ImageNet over N data-parallel ranks on one
 shared Lustre system; -ranks pins it to a single rank count
 
--tune (or the "tune" id) runs the rank-aware autotuning experiment: the
-untuned 4-threads/rank baseline vs. per-rank threads/prefetch picked by
+"tune" runs the rank-aware autotuning experiment: the untuned
+4-threads/rank baseline vs. per-rank threads/prefetch picked by
 cluster-wide probes over the merged Darshan profile, with each rank's
 small-file shard staged to its node-local NVMe (e.g. "tfdarshan run
--tune -ranks 4")
+-ranks 4 tune")
 
--prefetch (or the "prefetch" id) runs the clairvoyant prefetching
-experiment: per-node daemons walk each rank's seeded per-epoch shard order
-ahead of the consumer, filling a bounded node NVMe cache (with peer-cache
-serving over the interconnect), swept over a cache-capacity ladder against
-the cold-Lustre and offline-staging baselines
+"prefetch" runs the clairvoyant prefetching experiment: per-node daemons
+walk each rank's seeded per-epoch shard order ahead of the consumer,
+filling a bounded node NVMe cache (with peer-cache serving over the
+interconnect), swept over a cache-capacity ladder against the cold-Lustre
+and offline-staging baselines
 
--failover (or the "failover" id) runs the failure/recovery experiment:
-one rank dies mid-epoch, its node reboots with cold caches and a fresh
-Darshan runtime, and every rank rolls back to the last checkpoint and
-fires a restore read burst at the shared PFS — compared against the
-no-failure baseline and the all-ranks checkpoint pattern, with the burst
-visible on the merged DXT timeline
+"recovery" runs the failure/recovery experiment: one rank dies three
+quarters through the epoch, its node reboots with cold caches and a fresh
+Darshan runtime, and the job recovers by checkpoint rollback (rank-0 or
+all-ranks checkpoints, every rank re-reading them in a restore burst at
+the shared PFS) or elastically (survivors re-shard the victim's remaining
+work while the reborn rank catches up alone), each under a ladder of
+injected transient faults (flaky reads with bounded retries, an MDS
+brownout, a degraded-OST window) — elastic must beat rollback on wall
+time at every rung; rank counts below 2 are skipped
 
--elastic (or the "elastic" id) runs the elastic continue-on-failure
-experiment: the same mid-epoch rank death is recovered once by rollback
-and once elastically (survivors re-shard the victim's remaining work and
-keep committing steps while the reborn rank catches up alone), under a
-ladder of injected transient faults (flaky reads with bounded retries, an
-MDS brownout, a degraded-OST window) — elastic must beat rollback on
-wall time at every rung
-
--dataservice (or the "dataservice" id) runs the disaggregated tf.data
-service experiment: a dispatcher admits concurrent training jobs and
-leases per-job shards to a fleet of data workers that read, decode and
-batch on the jobs' behalf over shared Lustre through a peer-served node
-NVMe cache tier, ramping jobs {4,16,64,256} per fleet size and reporting
-which resource saturates first (PFS bandwidth, shared MDS, cache tier,
-dispatcher), against the same jobs run as independent cold pipelines;
--ranks pins the fleet size
+"dataservice" runs the disaggregated tf.data service experiment: a
+dispatcher admits concurrent training jobs and leases per-job shards to a
+fleet of data workers that read, decode and batch on the jobs' behalf
+over shared Lustre through a peer-served node NVMe cache tier, ramping
+jobs {4,16,64,256} per fleet size and reporting which resource saturates
+first (PFS bandwidth, shared MDS, cache tier, dispatcher), against the
+same jobs run as independent cold pipelines; -ranks pins the fleet size
 
 "artifacts distributed" runs the cluster job at -ranks ranks (default 4)
 and writes the merged darshan.log (nprocs > 1, rank -1 shared records,

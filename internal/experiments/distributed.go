@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -38,10 +37,6 @@ type RanksRow struct {
 	MergedBytesRead int64
 	// TimelineSegs is the merged, rank-attributed DXT segment count.
 	TimelineSegs int
-	// MergedDarshanLog is the serialized merged-kind darshan.log of the
-	// sweep point (Config.KeepLogs only), already verified to round-trip
-	// through darshan.ReadMergedLog.
-	MergedDarshanLog []byte
 }
 
 // RanksResult is the distributed data-parallel scaling experiment: the
@@ -102,9 +97,12 @@ func (c Config) rankSweep() []int {
 // buildImageNetCluster boots a fresh Kebnekaise cluster and generates the
 // ImageNet corpus on its shared Lustre mount. Every run and every tuning
 // probe builds its own cluster, so runs stay independent and
-// deterministic.
-func buildImageNetCluster(c Config, ranks int) (*platform.Cluster, *workload.Dataset, error) {
-	cluster := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true})
+// deterministic. dxtStdio also traces stdio ops as DXT segments (plain
+// DXT covers POSIX only; checkpoints ride the STDIO layer).
+func buildImageNetCluster(c Config, ranks int, dxtStdio bool) (*platform.Cluster, *workload.Dataset, error) {
+	cfg := darshan.DefaultConfig()
+	cfg.DXTStdio = dxtStdio
+	cluster := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true, DarshanConfig: &cfg})
 	spec := workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale)
 	d, err := workload.BuildImageNet(cluster.FS, spec)
 	if err != nil {
@@ -130,7 +128,7 @@ func untunedClusterOptions(c Config) distributed.Options {
 // Lustre. It is the shared engine of the ranks table and the distributed
 // artifact producer.
 func runDistributedImageNet(c Config, ranks int) (*distributed.Result, error) {
-	cluster, d, err := buildImageNetCluster(c, ranks)
+	cluster, d, err := buildImageNetCluster(c, ranks, false)
 	if err != nil {
 		return nil, err
 	}
@@ -176,38 +174,13 @@ func runRankCount(c Config, ranks int) (RanksRow, error) {
 	if s.Mean > 0 {
 		row.StragglerSpreadPct = (s.Max - s.Min) / s.Mean * 100
 	}
-	if c.KeepLogs {
-		logs, err := res.SerializeLogs()
-		if err != nil {
-			return RanksRow{}, err
-		}
-		// Every committed artifact must round-trip: decode the merged log
-		// and cross-check the header against the run before keeping it.
-		m, err := darshan.ReadMergedLog(bytes.NewReader(logs.Merged))
-		if err != nil {
-			return RanksRow{}, fmt.Errorf("ranks=%d: merged log does not round-trip: %w", ranks, err)
-		}
-		if m.NProcs != ranks || m.TotalPosix(darshan.POSIX_BYTES_READ) != mergedBytes {
-			return RanksRow{}, fmt.Errorf("ranks=%d: decoded merged log diverges (nprocs %d, bytes %d)",
-				ranks, m.NProcs, m.TotalPosix(darshan.POSIX_BYTES_READ))
-		}
-		row.MergedDarshanLog = logs.Merged
-	}
 	return row, nil
 }
 
 // RanksExperiment sweeps the rank ladder and reports aggregate bandwidth,
-// per-rank straggler spread and epoch time per rank count. Each rank count
-// is its own cluster and kernel, so the sweep points run concurrently
-// under Config.Parallel with rows still assembled in ladder order.
+// per-rank straggler spread and epoch time per rank count.
 func RanksExperiment(c Config) (*RanksResult, error) {
-	sweep := c.rankSweep()
-	rows := make([]RanksRow, len(sweep))
-	err := runIndexed(c.Parallel, len(sweep), func(i int) error {
-		var err error
-		rows[i], err = runRankCount(c, sweep[i])
-		return err
-	})
+	rows, err := sweepRanks(c, c.rankSweep(), runRankCount)
 	if err != nil {
 		return nil, err
 	}

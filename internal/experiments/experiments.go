@@ -45,10 +45,6 @@ type Config struct {
 	// means one worker per core. Kernels are independent, so results are
 	// byte-identical at any setting.
 	Parallel int
-	// KeepLogs makes the ranks sweep serialize each sweep point's merged
-	// Darshan log (round-trip verified) into its row. Off by default so
-	// the benchmarks don't pay serialization time.
-	KeepLogs bool
 }
 
 // DefaultConfig runs at paper scale.
@@ -112,8 +108,7 @@ func All() []Runner {
 		{"ranks", "distributed data-parallel scaling on shared Lustre", func(c Config) (Result, error) { return RanksExperiment(c) }},
 		{"tune", "rank-aware autotuning and per-rank staging over merged logs", func(c Config) (Result, error) { return TuneExperiment(c) }},
 		{"prefetch", "clairvoyant per-epoch prefetching over node NVMe caches", func(c Config) (Result, error) { return PrefetchExperiment(c) }},
-		{"failover", "mid-epoch rank death, checkpoint rollback and restore read burst", func(c Config) (Result, error) { return FailoverExperiment(c) }},
-		{"elastic", "elastic continue-on-failure vs rollback under a transient-fault ladder", func(c Config) (Result, error) { return ElasticExperiment(c) }},
+		{"recovery", "late-epoch rank death: checkpoint rollback vs elastic continuation under a transient-fault ladder", func(c Config) (Result, error) { return RecoveryExperiment(c) }},
 		{"dataservice", "disaggregated tf.data service: concurrent-job ramp over a worker fleet", func(c Config) (Result, error) { return DataServiceExperiment(c) }},
 	}
 }

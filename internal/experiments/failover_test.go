@@ -44,7 +44,7 @@ func goldenFailoverRun(t *testing.T) *distributed.Result {
 		// restore read burst) carry visible bytes on the DXT timeline.
 		Model:      workload.AlexNet,
 		MapFn:      workload.ImageNetMap,
-		Checkpoint: distributed.CheckpointPolicy{Pattern: distributed.CkptRank0, EverySteps: 2, Dir: failoverCkptDir},
+		Checkpoint: distributed.CheckpointPolicy{Pattern: distributed.CkptRank0, EverySteps: 2, Dir: recoveryCkptDir},
 		Failures:   []distributed.FailureEvent{{Rank: 1, Step: 3, RebootDelay: 2 * sim.Second}},
 	})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestFailoverReferenceLogUpToDate(t *testing.T) {
 	}
 	var ckptReads, ckptWrites int
 	for _, s := range m.Timeline {
-		if !strings.HasPrefix(m.Names[s.ID], failoverCkptDir+"/") {
+		if !strings.HasPrefix(m.Names[s.ID], recoveryCkptDir+"/") {
 			continue
 		}
 		if s.Write {
@@ -103,11 +103,12 @@ func TestFailoverReferenceLogUpToDate(t *testing.T) {
 	}
 }
 
-// TestFailoverExperiment pins the experiment surface at test scale: a
-// positive recovery cost over the no-failure baseline, the headline
-// metric, and (with KeepLogs) a round-tripping merged artifact.
-func TestFailoverExperiment(t *testing.T) {
-	res, err := FailoverExperiment(Config{Scale: 0.02, Ranks: 2, KeepLogs: true})
+// TestRecoveryExperiment pins the experiment surface at test scale: a
+// positive recovery cost over the no-failure baseline, the checkpoint
+// rank factor, elastic beating rollback on every rung, and the headline
+// metrics.
+func TestRecoveryExperiment(t *testing.T) {
+	res, err := RecoveryExperiment(Config{Scale: 0.02, Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,31 +116,35 @@ func TestFailoverExperiment(t *testing.T) {
 		t.Fatalf("rows = %d, want 1", len(res.Rows))
 	}
 	row := res.Rows[0]
-	if row.RestoreDeltaSec <= 0 {
-		t.Fatalf("failure cost %.3fs, want > 0", row.RestoreDeltaSec)
+	if len(row.Rungs) != 3 {
+		t.Fatalf("rungs = %d, want clean/flaky/storm", len(row.Rungs))
 	}
-	if row.DowntimeSec < sim.Seconds(failoverRebootDelay) {
+	if cost := row.Rungs[0].Rank0Sec - row.NoFailEpochSec; cost <= 0 {
+		t.Fatalf("failure cost %.3fs, want > 0", cost)
+	}
+	if row.DowntimeSec < sim.Seconds(recoveryRebootDelay) {
 		t.Fatalf("downtime %.3fs, want >= reboot delay", row.DowntimeSec)
 	}
 	if row.CkptBytesAll != int64(row.Ranks)*row.CkptBytesRank0 {
 		t.Fatalf("rank factor violated: %d vs %d x %d", row.CkptBytesAll, row.Ranks, row.CkptBytesRank0)
 	}
-	if _, ok := res.Metrics()["failover_restore_delta_s"]; !ok {
-		t.Fatal("headline failover_restore_delta_s metric missing")
+	for _, rung := range row.Rungs {
+		if rung.DeltaSec() <= 0 {
+			t.Fatalf("rung %s: elastic %.3fs did not beat rollback %.3fs", rung.Name, rung.ElasticSec, rung.Rank0Sec)
+		}
 	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(row.MergedDarshanLog))
-	if err != nil {
-		t.Fatalf("kept merged log does not round-trip: %v", err)
-	}
-	if m.NProcs != 2 {
-		t.Fatalf("kept log nprocs = %d", m.NProcs)
+	m := res.Metrics()
+	for _, k := range []string{"recovery_restore_delta_s", "elastic_downtime_delta_s", "retry_total"} {
+		if _, ok := m[k]; !ok {
+			t.Fatalf("headline %s metric missing", k)
+		}
 	}
 }
 
-// TestFailoverTooShort: an epoch too short to fail mid-way errors rather
+// TestRecoveryTooShort: an epoch too short to fail late errors rather
 // than scheduling an impossible failure.
-func TestFailoverTooShort(t *testing.T) {
-	if _, err := FailoverExperiment(Config{Scale: 0.0001, Ranks: 8}); err == nil {
-		t.Fatal("accepted a schedule with no room for a mid-epoch failure")
+func TestRecoveryTooShort(t *testing.T) {
+	if _, err := RecoveryExperiment(Config{Scale: 0.0001, Ranks: 8}); err == nil {
+		t.Fatal("accepted a schedule with no room for a late-epoch failure")
 	}
 }

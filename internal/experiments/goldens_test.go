@@ -111,39 +111,6 @@ func TestMergedReferenceLogUpToDate(t *testing.T) {
 	}
 }
 
-// TestRanksSweepKeepsMergedArtifacts: with Config.KeepLogs the sweep rows
-// carry serialized merged logs that decode back to their rank count — the
-// artifact surface cmd/tfdarshan exposes.
-func TestRanksSweepKeepsMergedArtifacts(t *testing.T) {
-	res, err := RanksExperiment(Config{Scale: 0.02, Ranks: 4, KeepLogs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	row := res.Rows[0]
-	if len(row.MergedDarshanLog) == 0 {
-		t.Fatal("KeepLogs produced no merged log")
-	}
-	m, err := darshan.ReadMergedLog(bytes.NewReader(row.MergedDarshanLog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NProcs != 4 || m.TotalPosix(darshan.POSIX_BYTES_READ) != row.MergedBytesRead {
-		t.Fatalf("decoded artifact diverges from the row: nprocs %d bytes %d vs %d",
-			m.NProcs, m.TotalPosix(darshan.POSIX_BYTES_READ), row.MergedBytesRead)
-	}
-	// Off by default: the benchmarks' rows stay lean.
-	lean, err := RanksExperiment(Config{Scale: 0.02, Ranks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lean.Rows[0].MergedDarshanLog) != 0 {
-		t.Fatal("merged log kept without KeepLogs")
-	}
-}
-
 // TestDistributedArtifacts covers the cmd/tfdarshan "artifacts
 // distributed" path: merged log plus per-rank logs, all decodable.
 func TestDistributedArtifacts(t *testing.T) {
@@ -160,6 +127,15 @@ func TestDistributedArtifacts(t *testing.T) {
 	}
 	if m.NProcs != 2 {
 		t.Fatalf("nprocs = %d", m.NProcs)
+	}
+	// The decoded artifact carries exactly the bytes the ranks sweep row
+	// of the same job reports.
+	ranks, err := RanksExperiment(Config{Scale: 0.02, Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.TotalPosix(darshan.POSIX_BYTES_READ), ranks.Rows[0].MergedBytesRead; got != want {
+		t.Fatalf("decoded artifact reads %d bytes, ranks row %d", got, want)
 	}
 	if len(art.PerRankLogs) != 2 {
 		t.Fatalf("per-rank logs = %d", len(art.PerRankLogs))

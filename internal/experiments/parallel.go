@@ -78,6 +78,22 @@ func runIndexed(parallel, n int, job func(i int) error) error {
 	return nil
 }
 
+// sweepRanks runs point once per rank count under c.Parallel and returns
+// the rows in ladder order. Every sweep point builds its own cluster and
+// kernel, so a parallel sweep is byte-identical to a serial one.
+func sweepRanks[R any](c Config, ranks []int, point func(Config, int) (R, error)) ([]R, error) {
+	rows := make([]R, len(ranks))
+	err := runIndexed(c.Parallel, len(ranks), func(i int) error {
+		var err error
+		rows[i], err = point(c, ranks[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // RunAll executes the runners for the given artifact ids, honouring
 // c.Parallel, and returns results in input order. Unknown ids fail before
 // anything runs. Each runner receives the same Config, so sweeps inside an

@@ -47,16 +47,15 @@ func TestParallelRanksDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelFailoverDeterminism asserts the failover sweep points
-// (three failure variants per rank count, each its own cluster and
-// kernel) are byte-identical run concurrently vs serially — the
-// serial/parallel invariant the failure path must uphold like every
-// other experiment.
-func TestParallelFailoverDeterminism(t *testing.T) {
-	serial := renderAll(t, Config{Scale: 0.02, Parallel: 1}, []string{"failover"})
-	parallel := renderAll(t, Config{Scale: 0.02, Parallel: 4}, []string{"failover"})
+// TestParallelRecoveryDeterminism asserts the recovery sweep points
+// (ten runs per rank count, each its own cluster and kernel) are
+// byte-identical run concurrently vs serially — the serial/parallel
+// invariant the failure path must uphold like every other experiment.
+func TestParallelRecoveryDeterminism(t *testing.T) {
+	serial := renderAll(t, Config{Scale: 0.02, Parallel: 1}, []string{"recovery"})
+	parallel := renderAll(t, Config{Scale: 0.02, Parallel: 4}, []string{"recovery"})
 	if serial != parallel {
-		t.Fatalf("parallel failover sweep diverged from serial\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+		t.Fatalf("parallel recovery sweep diverged from serial\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }
 

@@ -212,7 +212,7 @@ func prefetchSchedules(c Config, paths []string, ranks int) [][]string {
 func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 	// Profile pass: one cold epoch under plain sharding. Its per-rank
 	// snapshots feed the staging advisor, its cluster resolves file sizes.
-	profCluster, d, err := buildImageNetCluster(c, ranks)
+	profCluster, d, err := buildImageNetCluster(c, ranks, false)
 	if err != nil {
 		return PrefetchRow{}, err
 	}
@@ -263,7 +263,7 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 	}
 
 	// Cold baseline: the explicit two-epoch schedules with no cache tier.
-	coldCluster, coldData, err := buildImageNetCluster(c, ranks)
+	coldCluster, coldData, err := buildImageNetCluster(c, ranks, false)
 	if err != nil {
 		return PrefetchRow{}, err
 	}
@@ -307,7 +307,7 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 			rung.StagedFiles += adv.FileCount
 			rung.StagedBytes += adv.Bytes
 		}
-		stagedCluster, stagedData, err := buildImageNetCluster(c, ranks)
+		stagedCluster, stagedData, err := buildImageNetCluster(c, ranks, false)
 		if err != nil {
 			return PrefetchRow{}, err
 		}
@@ -325,7 +325,7 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 
 		// Prefetched runs: one daemon per node over the same schedules.
 		runPrefetched := func(peer bool) (*distributed.Result, []prefetch.NodeReport, error) {
-			cluster, data, err := buildImageNetCluster(c, ranks)
+			cluster, data, err := buildImageNetCluster(c, ranks, false)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -385,17 +385,9 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 }
 
 // PrefetchExperiment sweeps the rank ladder and, per rank count, the cache
-// capacity ladder. Sweep points build independent clusters, so they run
-// concurrently under Config.Parallel with rows assembled in ladder order
-// (byte-identical to a serial run).
+// capacity ladder.
 func PrefetchExperiment(c Config) (*PrefetchResult, error) {
-	sweep := c.rankSweep()
-	rows := make([]PrefetchRow, len(sweep))
-	err := runIndexed(c.Parallel, len(sweep), func(i int) error {
-		var err error
-		rows[i], err = runPrefetchPoint(c, sweep[i])
-		return err
-	})
+	rows, err := sweepRanks(c, c.rankSweep(), runPrefetchPoint)
 	if err != nil {
 		return nil, err
 	}

@@ -136,7 +136,7 @@ func applyClusterStaging(cluster *platform.Cluster, advices []*core.StagingAdvic
 // plans (the generated namespace is deterministic, so plans transfer
 // across cluster instances), and runs one distributed window.
 func runTuneWindow(c Config, ranks int, advices []*core.StagingAdvice, shape func(*distributed.Options)) (*distributed.Result, error) {
-	cluster, d, err := buildImageNetCluster(c, ranks)
+	cluster, d, err := buildImageNetCluster(c, ranks, false)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func adviseTuneStaging(c Config, ranks int, cluster *platform.Cluster, d *worklo
 // both tuner passes and the tuned epoch.
 func runTunePoint(c Config, ranks int) (TuneRow, error) {
 	// Untuned baseline: the exact configuration of the ranks table.
-	cluster, d, err := buildImageNetCluster(c, ranks)
+	cluster, d, err := buildImageNetCluster(c, ranks, false)
 	if err != nil {
 		return TuneRow{}, err
 	}
@@ -284,17 +284,9 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 }
 
 // TuneExperiment sweeps the rank ladder and reports untuned vs tuned
-// epoch time per rank count. Sweep points build independent clusters, so
-// they run concurrently under Config.Parallel with rows assembled in
-// ladder order (byte-identical to a serial run).
+// epoch time per rank count.
 func TuneExperiment(c Config) (*TuneResult, error) {
-	sweep := c.rankSweep()
-	rows := make([]TuneRow, len(sweep))
-	err := runIndexed(c.Parallel, len(sweep), func(i int) error {
-		var err error
-		rows[i], err = runTunePoint(c, sweep[i])
-		return err
-	})
+	rows, err := sweepRanks(c, c.rankSweep(), runTunePoint)
 	if err != nil {
 		return nil, err
 	}

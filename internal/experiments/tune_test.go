@@ -47,7 +47,7 @@ func TestTuneRanks4BeatsUntunedBaseline(t *testing.T) {
 func TestTuneStagingPlansStageOnlyTheRanksShard(t *testing.T) {
 	const ranks = 4
 	c := Config{Scale: 0.02}
-	cluster, d, err := buildImageNetCluster(c, ranks)
+	cluster, d, err := buildImageNetCluster(c, ranks, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 	}
 
 	// Staging degeneracy over a real one-rank run's snapshot.
-	cluster, d, err := buildImageNetCluster(c, 1)
+	cluster, d, err := buildImageNetCluster(c, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
