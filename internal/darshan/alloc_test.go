@@ -1,6 +1,8 @@
 package darshan
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -46,7 +48,7 @@ func TestSteadyStateDXTAppendZeroAlloc(t *testing.T) {
 func TestAccessSizeInlineTable(t *testing.T) {
 	rec := &PosixRecord{ID: 1}
 	for _, s := range []int64{100, 200, 100, 300, 400, 100, 200} {
-		rec.bumpAccess(s)
+		rec.bumpAccess(s, 1)
 	}
 	if rec.accessSizes != nil {
 		t.Fatalf("map allocated for %d distinct sizes", rec.accessInlineN)
@@ -68,7 +70,7 @@ func TestAccessSizeInlineTable(t *testing.T) {
 	// re-ranked table draws from both stores.
 	rec2 := &PosixRecord{ID: 2}
 	for _, s := range []int64{1, 2, 3, 4, 5, 5, 5, 6, 2} {
-		rec2.bumpAccess(s)
+		rec2.bumpAccess(s, 1)
 	}
 	if rec2.accessSizes == nil {
 		t.Fatal("overflow map not allocated for 6 distinct sizes")
@@ -91,5 +93,74 @@ func TestAccessSizeInlineTable(t *testing.T) {
 	rec2.clearAccessState()
 	if rec2.accessSizes != nil || rec2.accessInlineN != 0 {
 		t.Fatal("clearAccessState left runtime state behind")
+	}
+}
+
+// dxtHeavySnapshots builds ranks snapshots of files records each, every
+// record carrying one POSIX entry and segs DXT read segments, all ranks
+// sharing the same files (the shape of a data-parallel epoch).
+func dxtHeavySnapshots(ranks, files, segs int) []*Snapshot {
+	snaps := make([]*Snapshot, ranks)
+	for r := range snaps {
+		snap := &Snapshot{Time: 10, Names: make(map[uint64]string, files)}
+		for f := 0; f < files; f++ {
+			id := uint64(f + 1)
+			rec := PosixRecord{ID: id, Rank: r}
+			rec.Counters[POSIX_READS] = int64(segs)
+			rec.Counters[POSIX_BYTES_READ] = int64(segs) * 4096
+			rec.Counters[POSIX_ACCESS1_ACCESS] = 4096
+			rec.Counters[POSIX_ACCESS1_COUNT] = int64(segs)
+			snap.Posix = append(snap.Posix, rec)
+			dxt := DXTRecord{ID: id, ReadSegs: make([]Segment, segs)}
+			for i := range dxt.ReadSegs {
+				// Ranks interleave in time so the merged order is global.
+				start := float64(i*ranks+r) * 1e-3
+				dxt.ReadSegs[i] = Segment{Offset: int64(i) * 4096, Length: 4096, Start: start, End: start + 5e-4, TID: r}
+			}
+			snap.DXT = append(snap.DXT, dxt)
+			snap.Names[id] = fmt.Sprintf("/pfs/file-%d", f)
+		}
+		snaps[r] = snap
+	}
+	return snaps
+}
+
+// TestMergeAllocsIndependentOfSegments pins Merge as a counters-only
+// fold: it references the ranks' DXT records instead of copying them, so
+// its allocation count is the same at 10 and at 10,000 segments per
+// record.
+func TestMergeAllocsIndependentOfSegments(t *testing.T) {
+	allocs := func(segs int) float64 {
+		snaps := dxtHeavySnapshots(4, 8, segs)
+		return testing.AllocsPerRun(20, func() { Merge(snaps) })
+	}
+	few, many := allocs(10), allocs(10_000)
+	if few != many {
+		t.Fatalf("Merge allocs: %v at 10 segments/record, %v at 10000", few, many)
+	}
+}
+
+// BenchmarkMerge measures the cross-rank counter fold on its own.
+func BenchmarkMerge(b *testing.B) {
+	snaps := dxtHeavySnapshots(4, 256, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Merge(snaps)
+	}
+}
+
+// BenchmarkWriteMergedLog measures the merged-log encoder, which orders
+// the timeline and streams it into the compressed stream.
+func BenchmarkWriteMergedLog(b *testing.B) {
+	m := Merge(dxtHeavySnapshots(4, 256, 64))
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteMergedLog(&buf, m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

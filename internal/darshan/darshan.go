@@ -227,8 +227,8 @@ func (s *Snapshot) StdioByID(id uint64) (StdioRecord, bool) {
 // accessEntryLess is the explicit ACCESS1..4 ranking order: larger count
 // first, count ties broken by smaller size. Sizes are unique table keys,
 // so the order is total — re-ranking is byte-stable regardless of the map
-// iteration order that feeds the sort (both the per-record overflow map
-// and Merge's combined cross-rank tables).
+// iteration order that feeds the sort (the per-record overflow map, which
+// Merge and CombineSnapshots also fold other records' tables into).
 func accessEntryLess(a, b accessEntry) bool {
 	if a.count != b.count {
 		return a.count > b.count

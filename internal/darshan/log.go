@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Log file layout: an 8-byte magic + u32 version header in the clear,
@@ -111,25 +112,9 @@ func LogFromSnapshot(snap *Snapshot) *Log {
 	}
 }
 
-// Log builds the serializable log view of a cross-rank merge: nprocs is
-// the merged rank count, records keep their owning rank (or MergedRank),
-// and the timeline is stored as-is, rank attribution included.
-func (m *MergedLog) Log() *Log {
-	return &Log{
-		Version:         LogVersion,
-		JobEnd:          m.JobEnd,
-		NProcs:          int64(m.NProcs),
-		Merged:          true,
-		Names:           m.Names,
-		Posix:           m.Posix,
-		Stdio:           m.Stdio,
-		Timeline:        m.Timeline,
-		DroppedSegments: m.DroppedSegments,
-	}
-}
-
 // MergedLog converts a parsed merged-kind log back into the in-memory
-// merge result, the inverse of (*MergedLog).Log.
+// merge result, the inverse of WriteMergedLog; its Segments yields the
+// stored timeline.
 func (l *Log) MergedLog() (*MergedLog, error) {
 	if !l.Merged {
 		return nil, fmt.Errorf("%w: not a merged log (nprocs %d)", ErrBadLog, l.NProcs)
@@ -140,8 +125,8 @@ func (l *Log) MergedLog() (*MergedLog, error) {
 		Names:           l.Names,
 		Posix:           l.Posix,
 		Stdio:           l.Stdio,
-		Timeline:        l.Timeline,
 		DroppedSegments: l.DroppedSegments,
+		decoded:         l.Timeline,
 	}, nil
 }
 
@@ -159,124 +144,174 @@ func WriteSnapshotLog(w io.Writer, snap *Snapshot) error {
 
 // WriteMergedLog serializes a cross-rank merge as a merged-kind log:
 // header with nprocs > 1, rank −1 shared records, and the rank-attributed
-// DXT timeline in global start-time order.
+// DXT timeline in global start-time order, streamed from m.Segments.
 func WriteMergedLog(w io.Writer, m *MergedLog) error {
-	return m.Log().Write(w)
+	l := &Log{
+		JobEnd:          m.JobEnd,
+		NProcs:          int64(m.NProcs),
+		Merged:          true,
+		Names:           m.Names,
+		Posix:           m.Posix,
+		Stdio:           m.Stdio,
+		DroppedSegments: m.DroppedSegments,
+	}
+	return l.write(w, m.Segments(), m.NumSegments())
 }
 
-// logEncoder wraps the compressed stream with sticky-error binary writes.
+// logFlushSize is the block size the encoder hands to the gzip writer.
+// Deflate output does not depend on write boundaries, so batching fields
+// into blocks yields the same bytes as writing each field on its own.
+const logFlushSize = 32 << 10
+
+// logEncoder appends little-endian fields to one reused block buffer and
+// flushes it to the compressed stream in logFlushSize chunks, with a
+// sticky write error.
 type logEncoder struct {
 	zw  *gzip.Writer
+	buf []byte
 	err error
 }
 
-func (e *logEncoder) val(v any) {
-	if e.err == nil {
-		e.err = binary.Write(e.zw, binary.LittleEndian, v)
+func (e *logEncoder) u8(v byte)     { e.buf = append(e.buf, v) }
+func (e *logEncoder) u16(v uint16)  { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
+func (e *logEncoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *logEncoder) i32(v int32)   { e.u32(uint32(v)) }
+func (e *logEncoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *logEncoder) i64(v int64)   { e.u64(uint64(v)) }
+func (e *logEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *logEncoder) str(v string)  { e.buf = append(e.buf, v...) }
+func (e *logEncoder) i64s(v []int64) {
+	for _, x := range v {
+		e.i64(x)
+	}
+}
+func (e *logEncoder) f64s(v []float64) {
+	for _, x := range v {
+		e.f64(x)
 	}
 }
 
-func (e *logEncoder) bytes(b []byte) {
-	if e.err == nil {
-		_, e.err = e.zw.Write(b)
+// segment appends one DXT segment's geometry and thread id.
+func (e *logEncoder) segment(s *Segment) {
+	e.i64(s.Offset)
+	e.i64(s.Length)
+	e.f64(s.Start)
+	e.f64(s.End)
+	e.i32(int32(s.TID))
+}
+
+// next ends one encoded item, flushing once the buffer holds a block.
+func (e *logEncoder) next() {
+	if len(e.buf) >= logFlushSize {
+		e.flush()
 	}
+}
+
+func (e *logEncoder) flush() {
+	if e.err == nil {
+		_, e.err = e.zw.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
 }
 
 // Write serializes the log. The encoding is canonical: the name table is
 // written in ascending record-id order and record blocks in slice order,
 // so writing a freshly parsed log reproduces the input bytes exactly.
 func (l *Log) Write(w io.Writer) error {
-	if _, err := w.Write(logMagic[:]); err != nil {
+	return l.write(w, slices.Values(l.Timeline), len(l.Timeline))
+}
+
+// write serializes the log with the merged DXT timeline taken from
+// timeline, which yields exactly nsegs segments (merged logs only).
+func (l *Log) write(w io.Writer, timeline iter.Seq[MergedSegment], nsegs int) error {
+	var hdr [len(logMagic) + 4]byte
+	copy(hdr[:], logMagic[:])
+	binary.LittleEndian.PutUint32(hdr[len(logMagic):], LogVersion)
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, LogVersion); err != nil {
-		return err
-	}
-	e := &logEncoder{zw: gzip.NewWriter(w)}
+	e := &logEncoder{zw: gzip.NewWriter(w), buf: make([]byte, 0, 2*logFlushSize)}
 
 	kind := logKindSingle
 	if l.Merged {
 		kind = logKindMerged
 	}
-	e.val(kind)
+	e.u8(kind)
 
 	// Job record.
-	e.val(l.JobEnd)
-	e.val(l.NProcs)
+	e.f64(l.JobEnd)
+	e.i64(l.NProcs)
 
 	// Name table, ascending id for a canonical byte stream.
 	ids := make([]uint64, 0, len(l.Names))
 	for id := range l.Names {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.val(uint32(len(ids)))
+	slices.Sort(ids)
+	e.u32(uint32(len(ids)))
 	for _, id := range ids {
 		name := l.Names[id]
-		e.val(id)
-		e.val(uint16(len(name)))
-		e.bytes([]byte(name))
+		e.u64(id)
+		e.u16(uint16(len(name)))
+		e.str(name)
+		e.next()
 	}
 
 	// POSIX module block.
-	e.val(uint32(len(l.Posix)))
+	e.u32(uint32(len(l.Posix)))
 	for i := range l.Posix {
 		r := &l.Posix[i]
-		e.val(r.ID)
-		e.val(int64(r.Rank))
-		e.val(r.Counters[:])
-		e.val(r.FCounters[:])
+		e.u64(r.ID)
+		e.i64(int64(r.Rank))
+		e.i64s(r.Counters[:])
+		e.f64s(r.FCounters[:])
+		e.next()
 	}
 
 	// STDIO module block.
-	e.val(uint32(len(l.Stdio)))
+	e.u32(uint32(len(l.Stdio)))
 	for i := range l.Stdio {
 		r := &l.Stdio[i]
-		e.val(r.ID)
-		e.val(int64(r.Rank))
-		e.val(r.Counters[:])
-		e.val(r.FCounters[:])
+		e.u64(r.ID)
+		e.i64(int64(r.Rank))
+		e.i64s(r.Counters[:])
+		e.f64s(r.FCounters[:])
+		e.next()
 	}
 
 	if l.Merged {
-		// Merged DXT: one flat rank-attributed timeline in stored order
-		// (globally sorted by start time by the merger).
-		e.val(l.DroppedSegments)
-		e.val(uint32(len(l.Timeline)))
-		for i := range l.Timeline {
-			s := &l.Timeline[i]
-			e.val(s.ID)
-			e.val(int32(s.Rank))
+		// Merged DXT: one flat rank-attributed timeline in global
+		// start-time order.
+		e.i64(l.DroppedSegments)
+		e.u32(uint32(nsegs))
+		for s := range timeline {
+			e.u64(s.ID)
+			e.i32(int32(s.Rank))
 			var write byte
 			if s.Write {
 				write = 1
 			}
-			e.val(write)
-			e.val(s.Offset)
-			e.val(s.Length)
-			e.val(s.Start)
-			e.val(s.End)
-			e.val(int32(s.TID))
+			e.u8(write)
+			e.segment(&s.Segment)
+			e.next()
 		}
 	} else {
 		// Single-process DXT: per-file records.
-		e.val(uint32(len(l.DXT)))
+		e.u32(uint32(len(l.DXT)))
 		for i := range l.DXT {
 			r := &l.DXT[i]
-			e.val(r.ID)
-			e.val(r.Dropped)
+			e.u64(r.ID)
+			e.i64(r.Dropped)
 			for _, segs := range [2][]Segment{r.ReadSegs, r.WriteSegs} {
-				e.val(uint32(len(segs)))
-				for _, s := range segs {
-					e.val(s.Offset)
-					e.val(s.Length)
-					e.val(s.Start)
-					e.val(s.End)
-					e.val(int32(s.TID))
+				e.u32(uint32(len(segs)))
+				for j := range segs {
+					e.segment(&segs[j])
+					e.next()
 				}
 			}
 		}
 	}
+	e.flush()
 	if e.err != nil {
 		return e.err
 	}

@@ -1,13 +1,17 @@
 package darshan
 
-import "sort"
+import (
+	"cmp"
+	"iter"
+	"slices"
+)
 
 // This file implements the cross-rank log merger of the distributed
 // scenario: N ranks each run their own Runtime over a shared parallel file
 // system, export per-rank record sets at job end, and Merge reduces them
 // into one aggregate view — per-file counters summed across ranks (the
 // reduction Darshan's MPI build performs at shutdown) plus a globally
-// time-ordered DXT timeline with rank attribution.
+// time-ordered DXT timeline with rank attribution, produced on demand.
 
 // MergedRank is the Rank value of records touched by more than one rank,
 // Darshan's shared-record convention; records a single rank touched keep
@@ -36,14 +40,94 @@ type MergedLog struct {
 	// rank contributes to the same file.
 	Posix []PosixRecord
 	Stdio []StdioRecord
-	// Timeline is every rank's DXT segments in one globally ordered
-	// sequence (by start time; deterministic tie-breaks).
-	Timeline []MergedSegment
 	// DroppedSegments sums DXT segments lost to per-record memory bounds.
 	DroppedSegments int64
 	// Faults sums the per-rank transient-fault/retry tallies (faults.go).
 	// Side channel only: not part of the serialized merged-log format.
 	Faults FaultCounters
+
+	// rankDXT holds read-only references to the merged snapshots' DXT
+	// records, indexed by rank (nil for a nil snapshot); Segments orders
+	// them on each call. decoded is the stored, already-ordered timeline
+	// of a log read back from disk. At most one of the two is set.
+	rankDXT [][]DXTRecord
+	decoded []MergedSegment
+}
+
+// Segments yields every rank's DXT segments in one global order: start
+// time, then end, rank, file id, offset, and reads before writes. Segments
+// equal in all of those keep their per-rank order (record order, each
+// record's reads before its writes). The order is built on each call; a
+// log read back by ReadMergedLog yields its stored timeline as decoded.
+func (m *MergedLog) Segments() iter.Seq[MergedSegment] {
+	return func(yield func(MergedSegment) bool) {
+		segs := m.decoded
+		if m.rankDXT != nil {
+			segs = m.orderedSegments()
+		}
+		for _, s := range segs {
+			if !yield(s) {
+				return
+			}
+		}
+	}
+}
+
+// NumSegments returns the number of segments Segments yields.
+func (m *MergedLog) NumSegments() int {
+	n := len(m.decoded)
+	for _, recs := range m.rankDXT {
+		for i := range recs {
+			n += len(recs[i].ReadSegs) + len(recs[i].WriteSegs)
+		}
+	}
+	return n
+}
+
+// orderedSegments flattens the referenced per-rank DXT records and sorts
+// them into timeline order.
+func (m *MergedLog) orderedSegments() []MergedSegment {
+	segs := make([]MergedSegment, 0, m.NumSegments())
+	for rank, recs := range m.rankDXT {
+		for i := range recs {
+			rec := &recs[i]
+			for _, seg := range rec.ReadSegs {
+				segs = append(segs, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID})
+			}
+			for _, seg := range rec.WriteSegs {
+				segs = append(segs, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID, Write: true})
+			}
+		}
+	}
+	slices.SortStableFunc(segs, compareTimeline)
+	return segs
+}
+
+// compareTimeline is the global timeline order: start time, then fully
+// deterministic tie-breaks (end, rank, file, offset, direction).
+func compareTimeline(a, b MergedSegment) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.End, b.End); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Offset, b.Offset); c != 0 {
+		return c
+	}
+	switch {
+	case a.Write == b.Write:
+		return 0
+	case b.Write:
+		return -1
+	}
+	return 1
 }
 
 // PosixCounterAdditive reports whether c aggregates across ranks by
@@ -77,10 +161,10 @@ func mergeStartTimestamp(dst *float64, v float64) {
 }
 
 // foldPosixCounters folds src's POSIX counters into dst per the merge
-// counter classes, accumulating src's ACCESS1..4 table into table for a
-// later combined re-rank. Shared by the cross-rank Merge and the
-// same-rank CombineSnapshots.
-func foldPosixCounters(dst, src *PosixRecord, table map[int64]int64) {
+// counter classes, bumping src's ACCESS1..4 entries into dst's own access
+// table for a later finalizeAccessCounters re-rank. Shared by the
+// cross-rank Merge and the same-rank CombineSnapshots.
+func foldPosixCounters(dst, src *PosixRecord) {
 	for c := PosixCounter(0); c < PosixNumCounters; c++ {
 		switch {
 		case PosixCounterAdditive(c):
@@ -89,10 +173,9 @@ func foldPosixCounters(dst, src *PosixRecord, table map[int64]int64) {
 			dst.Counters[c] = maxI64(dst.Counters[c], src.Counters[c])
 		}
 	}
-	for k := 0; k < 4; k++ {
-		count := src.Counters[POSIX_ACCESS1_COUNT+PosixCounter(k)]
-		if count > 0 {
-			table[src.Counters[POSIX_ACCESS1_ACCESS+PosixCounter(k)]] += count
+	for k := PosixCounter(0); k < 4; k++ {
+		if count := src.Counters[POSIX_ACCESS1_COUNT+k]; count > 0 {
+			dst.bumpAccess(src.Counters[POSIX_ACCESS1_ACCESS+k], count)
 		}
 	}
 	for c := POSIX_F_OPEN_START_TIMESTAMP; c <= POSIX_F_CLOSE_START_TIMESTAMP; c++ {
@@ -128,6 +211,15 @@ func foldStdioCounters(dst, src *StdioRecord) {
 	}
 }
 
+// finalizeMergedAccess re-ranks each folded record's access table into
+// ACCESS1..4 and drops the table.
+func finalizeMergedAccess(recs []PosixRecord) {
+	for i := range recs {
+		finalizeAccessCounters(&recs[i])
+		recs[i].clearAccessState()
+	}
+}
+
 // Merge reduces per-rank job-end snapshots (index = rank) into one
 // aggregate log. Counter semantics per class:
 //
@@ -137,13 +229,37 @@ func foldStdioCounters(dst, src *StdioRecord) {
 //   - *_START_TIMESTAMP: earliest nonzero; *_END_TIMESTAMP: latest;
 //   - F_*_TIME accumulators: summed (total time across ranks);
 //   - ACCESS1..4: re-ranked from the union of the per-rank access tables.
+//
+// DXT segments are not copied: the result references the snapshots' DXT
+// records, which must not change afterwards, and Segments orders them
+// when read.
 func Merge(perRank []*Snapshot) *MergedLog {
-	out := &MergedLog{
-		Names: make(map[uint64]string),
-	}
+	// First pass: number the distinct file ids in first-appearance order
+	// (rank-major, then record order), so the record tables are sized
+	// exactly and a record is new exactly when its index is the next slot.
 	posixIdx := make(map[uint64]int)
 	stdioIdx := make(map[uint64]int)
-	accessTables := make(map[uint64]map[int64]int64)
+	for _, snap := range perRank {
+		if snap == nil {
+			continue
+		}
+		for i := range snap.Posix {
+			if _, ok := posixIdx[snap.Posix[i].ID]; !ok {
+				posixIdx[snap.Posix[i].ID] = len(posixIdx)
+			}
+		}
+		for i := range snap.Stdio {
+			if _, ok := stdioIdx[snap.Stdio[i].ID]; !ok {
+				stdioIdx[snap.Stdio[i].ID] = len(stdioIdx)
+			}
+		}
+	}
+	out := &MergedLog{
+		Names:   make(map[uint64]string, len(posixIdx)+len(stdioIdx)),
+		Posix:   slices.Grow([]PosixRecord(nil), len(posixIdx)), // stays nil when empty, as decoded logs do
+		Stdio:   slices.Grow([]StdioRecord(nil), len(stdioIdx)),
+		rankDXT: make([][]DXTRecord, len(perRank)),
+	}
 
 	for rank, snap := range perRank {
 		if snap == nil {
@@ -159,28 +275,25 @@ func Merge(perRank []*Snapshot) *MergedLog {
 		}
 		for i := range snap.Posix {
 			src := &snap.Posix[i]
-			j, seen := posixIdx[src.ID]
+			j := posixIdx[src.ID]
+			seen := j < len(out.Posix)
 			if !seen {
-				j = len(out.Posix)
-				posixIdx[src.ID] = j
 				// The snapshot index is the rank, the same source of truth
 				// the timeline uses (stamped record ranks may be absent
 				// when merging independently captured runs).
 				out.Posix = append(out.Posix, PosixRecord{ID: src.ID, Rank: rank})
-				accessTables[src.ID] = make(map[int64]int64)
 			}
 			dst := &out.Posix[j]
 			if seen && dst.Rank != rank {
 				dst.Rank = MergedRank // shared across ranks
 			}
-			foldPosixCounters(dst, src, accessTables[src.ID])
+			foldPosixCounters(dst, src)
 		}
 		for i := range snap.Stdio {
 			src := &snap.Stdio[i]
-			j, seen := stdioIdx[src.ID]
+			j := stdioIdx[src.ID]
+			seen := j < len(out.Stdio)
 			if !seen {
-				j = len(out.Stdio)
-				stdioIdx[src.ID] = j
 				out.Stdio = append(out.Stdio, StdioRecord{ID: src.ID, Rank: rank})
 			}
 			dst := &out.Stdio[j]
@@ -189,47 +302,12 @@ func Merge(perRank []*Snapshot) *MergedLog {
 			}
 			foldStdioCounters(dst, src)
 		}
+		out.rankDXT[rank] = snap.DXT
 		for i := range snap.DXT {
-			rec := &snap.DXT[i]
-			out.DroppedSegments += rec.Dropped
-			for _, seg := range rec.ReadSegs {
-				out.Timeline = append(out.Timeline, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID})
-			}
-			for _, seg := range rec.WriteSegs {
-				out.Timeline = append(out.Timeline, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID, Write: true})
-			}
+			out.DroppedSegments += snap.DXT[i].Dropped
 		}
 	}
-
-	// Re-rank the combined access tables into ACCESS1..4.
-	for id, table := range accessTables {
-		rec := &out.Posix[posixIdx[id]]
-		rec.accessSizes = table
-		finalizeAccessCounters(rec)
-		rec.clearAccessState()
-	}
-
-	// Global timeline order: start time, then fully deterministic
-	// tie-breaks (end, rank, file, offset, direction).
-	sort.SliceStable(out.Timeline, func(i, j int) bool {
-		a, b := &out.Timeline[i], &out.Timeline[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.End != b.End {
-			return a.End < b.End
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.ID != b.ID {
-			return a.ID < b.ID
-		}
-		if a.Offset != b.Offset {
-			return a.Offset < b.Offset
-		}
-		return !a.Write && b.Write
-	})
+	finalizeMergedAccess(out.Posix)
 	return out
 }
 

@@ -2,7 +2,11 @@ package darshan
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -146,20 +150,21 @@ func TestMergeWatermarksAndTimestamps(t *testing.T) {
 
 func TestMergeTimelineGloballyOrderedWithRankAttribution(t *testing.T) {
 	m := Merge(syntheticSnapshots())
-	if len(m.Timeline) != 5 {
-		t.Fatalf("timeline has %d segments, want 5", len(m.Timeline))
+	tl := slices.Collect(m.Segments())
+	if len(tl) != 5 || m.NumSegments() != 5 {
+		t.Fatalf("timeline has %d segments (NumSegments %d), want 5", len(tl), m.NumSegments())
 	}
-	for i := 1; i < len(m.Timeline); i++ {
-		if m.Timeline[i].Start < m.Timeline[i-1].Start {
-			t.Fatalf("timeline out of order at %d: %v after %v", i, m.Timeline[i].Start, m.Timeline[i-1].Start)
+	for i := 1; i < len(tl); i++ {
+		if tl[i].Start < tl[i-1].Start {
+			t.Fatalf("timeline out of order at %d: %v after %v", i, tl[i].Start, tl[i-1].Start)
 		}
 	}
 	// The first segment is rank 1's early read; ranks interleave.
-	if m.Timeline[0].Rank != 1 || m.Timeline[0].Start != 0.25 {
-		t.Fatalf("timeline[0] = rank %d @ %v", m.Timeline[0].Rank, m.Timeline[0].Start)
+	if tl[0].Rank != 1 || tl[0].Start != 0.25 {
+		t.Fatalf("timeline[0] = rank %d @ %v", tl[0].Rank, tl[0].Start)
 	}
 	ranksSeen := map[int]bool{}
-	for _, s := range m.Timeline {
+	for _, s := range tl {
 		ranksSeen[s.Rank] = true
 	}
 	if !ranksSeen[0] || !ranksSeen[1] {
@@ -167,7 +172,7 @@ func TestMergeTimelineGloballyOrderedWithRankAttribution(t *testing.T) {
 	}
 	// The write segment keeps its direction.
 	var writes int
-	for _, s := range m.Timeline {
+	for _, s := range tl {
 		if s.Write {
 			writes++
 			if s.ID != 8 || s.Rank != 1 {
@@ -265,10 +270,149 @@ func TestMergeDeterministic(t *testing.T) {
 			t.Fatalf("name table missing id %d", id)
 		}
 	}
-	sorted := sort.SliceIsSorted(a.Timeline, func(i, j int) bool {
-		return a.Timeline[i].Start < a.Timeline[j].Start
+	sorted := slices.IsSortedFunc(slices.Collect(a.Segments()), func(x, y MergedSegment) int {
+		return cmp.Compare(x.Start, y.Start)
 	})
 	if !sorted {
 		t.Fatal("timeline not sorted")
+	}
+}
+
+// eagerTimeline is the reference order Segments must reproduce: every
+// segment copied rank by rank, record by record, reads before writes, then
+// stable-sorted by the reflection comparator the merger used to apply.
+func eagerTimeline(perRank []*Snapshot) []MergedSegment {
+	var tl []MergedSegment
+	for rank, snap := range perRank {
+		if snap == nil {
+			continue
+		}
+		for i := range snap.DXT {
+			rec := &snap.DXT[i]
+			for _, seg := range rec.ReadSegs {
+				tl = append(tl, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID})
+			}
+			for _, seg := range rec.WriteSegs {
+				tl = append(tl, MergedSegment{Segment: seg, Rank: rank, ID: rec.ID, Write: true})
+			}
+		}
+	}
+	sort.SliceStable(tl, func(i, j int) bool {
+		a, b := &tl[i], &tl[j]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.End != b.End {
+			return a.End < b.End
+		}
+		if a.Rank != b.Rank {
+			return a.Rank < b.Rank
+		}
+		if a.ID != b.ID {
+			return a.ID < b.ID
+		}
+		if a.Offset != b.Offset {
+			return a.Offset < b.Offset
+		}
+		return !a.Write && b.Write
+	})
+	return tl
+}
+
+// randomTieSnapshots draws DXT records whose segments collide heavily:
+// start and end times come from a few quarter-second slots and offsets
+// from a few blocks, so equal keys occur within a record, across records
+// and across ranks. Lengths and thread ids stay distinct, which makes any
+// break of the stable order visible.
+func randomTieSnapshots(seed int64) []*Snapshot {
+	rng := rand.New(rand.NewSource(seed))
+	var tid int
+	draw := func(n int) []Segment {
+		segs := make([]Segment, n)
+		for i := range segs {
+			start := float64(rng.Intn(6)) * 0.25
+			tid++
+			segs[i] = Segment{
+				Offset: int64(rng.Intn(3)) * 4096,
+				Length: int64(tid),
+				Start:  start,
+				End:    start + float64(rng.Intn(2))*0.25,
+				TID:    tid,
+			}
+		}
+		return segs
+	}
+	snaps := make([]*Snapshot, 1+rng.Intn(4))
+	for r := range snaps {
+		snap := &Snapshot{Time: 2}
+		for id := uint64(1); id <= uint64(1+rng.Intn(3)); id++ {
+			snap.DXT = append(snap.DXT, DXTRecord{ID: id, ReadSegs: draw(rng.Intn(12)), WriteSegs: draw(rng.Intn(6))})
+		}
+		snaps[r] = snap
+	}
+	return snaps
+}
+
+// TestSegmentsMatchEagerOrder is the order oracle: on every input shape
+// that stresses the tie-breaks, the on-demand timeline equals the eager
+// copy-and-stable-sort reference element for element.
+func TestSegmentsMatchEagerOrder(t *testing.T) {
+	seg := func(off, length int64, start, end float64, tid int) Segment {
+		return Segment{Offset: off, Length: length, Start: start, End: end, TID: tid}
+	}
+	cases := map[string][]*Snapshot{
+		"synthetic": syntheticSnapshots(),
+		// A read and a write of the same block at the same instant: the
+		// direction alone orders them, read first.
+		"same-offset read/write": {{DXT: []DXTRecord{{
+			ID:        3,
+			WriteSegs: []Segment{seg(0, 10, 1, 2, 1), seg(10, 10, 1, 2, 1)},
+			ReadSegs:  []Segment{seg(10, 20, 1, 2, 2), seg(0, 20, 1, 2, 2)},
+		}}}},
+		// Concurrent threads append to one record out of start order.
+		"out-of-order appends": {{DXT: []DXTRecord{{
+			ID:       4,
+			ReadSegs: []Segment{seg(0, 1, 3, 4, 1), seg(1, 1, 0.5, 1, 2), seg(2, 1, 2, 5, 3), seg(3, 1, 0.5, 1, 4), seg(4, 1, 0.5, 0.75, 5)},
+		}}}, {DXT: []DXTRecord{{
+			ID:       4,
+			ReadSegs: []Segment{seg(0, 1, 2, 5, 6), seg(1, 1, 0.5, 1, 7)},
+		}}}},
+		// Nil ranks keep their slot: later snapshots stay attributed to
+		// their index, and dropped segments count without appearing.
+		"nil ranks and drops": {nil, {DXT: []DXTRecord{{
+			ID: 5, ReadSegs: []Segment{seg(0, 1, 1, 2, 1)}, Dropped: 7,
+		}}}, nil, {DXT: []DXTRecord{{
+			ID: 5, ReadSegs: []Segment{seg(0, 1, 1, 2, 1)}, WriteSegs: []Segment{seg(0, 1, 0, 1, 2)}, Dropped: 2,
+		}}}},
+		"empty": nil,
+	}
+	for seed := int64(1); seed <= 64; seed++ {
+		cases[fmt.Sprintf("random seed %d", seed)] = randomTieSnapshots(seed)
+	}
+	for name, snaps := range cases {
+		m := Merge(snaps)
+		got := slices.Collect(m.Segments())
+		want := eagerTimeline(snaps)
+		if len(got) != len(want) || m.NumSegments() != len(want) {
+			t.Fatalf("%s: %d segments (NumSegments %d), reference %d", name, len(got), m.NumSegments(), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: segment %d = %+v, reference %+v", name, i, got[i], want[i])
+			}
+		}
+		// A second read yields the same order: nothing is consumed.
+		if again := slices.Collect(m.Segments()); !slices.Equal(again, got) {
+			t.Fatalf("%s: second Segments call diverged", name)
+		}
+	}
+	m := Merge(cases["nil ranks and drops"])
+	if m.NProcs != 2 || m.DroppedSegments != 9 {
+		t.Fatalf("nil ranks: nprocs %d dropped %d, want 2 and 9", m.NProcs, m.DroppedSegments)
+	}
+	for s := range m.Segments() {
+		if s.Rank != 1 && s.Rank != 3 {
+			t.Fatalf("segment attributed to rank %d, want its snapshot index", s.Rank)
+		}
 	}
 }

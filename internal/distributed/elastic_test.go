@@ -160,7 +160,7 @@ func TestElasticCheckpointTimelineReads(t *testing.T) {
 	res := runRanksStdioDXT(t, 4, 128, elasticOpts(CkptRank0))
 	f := res.Failures[0]
 	reads := 0
-	for _, seg := range res.Merged.Timeline {
+	for seg := range res.Merged.Segments() {
 		if seg.Write || !strings.HasPrefix(res.Merged.Names[seg.ID], ckptDir+"/") {
 			continue
 		}

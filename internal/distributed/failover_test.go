@@ -149,7 +149,7 @@ func TestFailoverRecovery(t *testing.T) {
 	// Restore reads appear in the merged DXT timeline only after the
 	// failure instant.
 	reads := 0
-	for _, seg := range res.Merged.Timeline {
+	for seg := range res.Merged.Segments() {
 		if seg.Write || !strings.HasPrefix(res.Merged.Names[seg.ID], ckptDir+"/") {
 			continue
 		}

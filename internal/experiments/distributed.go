@@ -157,7 +157,7 @@ func runRankCount(c Config, ranks int) (RanksRow, error) {
 		Steps:           res.Steps,
 		MergedReads:     res.Merged.TotalPosix(darshan.POSIX_READS),
 		MergedBytesRead: mergedBytes,
-		TimelineSegs:    len(res.Merged.Timeline),
+		TimelineSegs:    res.Merged.NumSegments(),
 	}
 	if res.WallSeconds > 0 {
 		row.AggReadMBps = float64(mergedBytes) / 1e6 / res.WallSeconds

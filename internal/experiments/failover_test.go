@@ -88,7 +88,7 @@ func TestFailoverReferenceLogUpToDate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ckptReads, ckptWrites int
-	for _, s := range m.Timeline {
+	for s := range m.Segments() {
 		if !strings.HasPrefix(m.Names[s.ID], recoveryCkptDir+"/") {
 			continue
 		}

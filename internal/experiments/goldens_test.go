@@ -103,7 +103,7 @@ func TestMergedReferenceLogUpToDate(t *testing.T) {
 		t.Fatalf("shared records = %d, want the manifest alone", shared)
 	}
 	ranksSeen := map[int]bool{}
-	for _, s := range m.Timeline {
+	for s := range m.Segments() {
 		ranksSeen[s.Rank] = true
 	}
 	if len(ranksSeen) != 4 {

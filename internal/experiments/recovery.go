@@ -190,7 +190,7 @@ func runRecoveryVariant(c Config, ranks int, p recoveryProtocol, every int, fail
 // ckptTimelineReads counts checkpoint-file reads on the merged DXT
 // timeline and returns the earliest one's start time.
 func ckptTimelineReads(m *darshan.MergedLog) (reads int, earliest float64) {
-	for _, s := range m.Timeline {
+	for s := range m.Segments() {
 		if s.Write || !strings.HasPrefix(m.Names[s.ID], recoveryCkptDir+"/") {
 			continue
 		}
