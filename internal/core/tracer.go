@@ -21,23 +21,19 @@ type TracerConfig struct {
 	// AnalysisPerRecordCPU is charged per live Darshan record when the
 	// stop-snapshot is analyzed.
 	AnalysisPerRecordCPU sim.Duration
-	// AnalysisPerSegmentCPU is charged per DXT segment converted to a
-	// trace event.
-	AnalysisPerSegmentCPU sim.Duration
 	// SizeOf resolves file sizes for the file-size panel (may be nil).
 	SizeOf SizeOfFunc
-	// MaxTimelineFiles bounds the per-file timelines exported to the
-	// TraceViewer (0 = all files; the paper's future-work notes suggest
-	// discarding detailed timelines to cut overhead).
-	MaxTimelineFiles int
 }
+
+// analysisPerSegmentCPU is charged per DXT segment converted to a trace
+// event, calibrated with DefaultTracerConfig.
+const analysisPerSegmentCPU = 20 * sim.Microsecond
 
 // DefaultTracerConfig returns costs calibrated against the paper's Fig. 5
 // overhead bands (see EXPERIMENTS.md for the derivation).
 func DefaultTracerConfig() TracerConfig {
 	return TracerConfig{
-		AnalysisPerRecordCPU:  sim.FromMillis(1),
-		AnalysisPerSegmentCPU: sim.FromMicros(20),
+		AnalysisPerRecordCPU: sim.FromMillis(1),
 	}
 }
 
@@ -147,8 +143,8 @@ func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error
 	if c := d.h.cfg.AnalysisPerRecordCPU; c > 0 && analysis.FilesAccessed > 0 {
 		t.Sleep(sim.Duration(analysis.FilesAccessed) * c)
 	}
-	if c := d.h.cfg.AnalysisPerSegmentCPU; c > 0 && windowSegs > 0 {
-		t.Sleep(sim.Duration(windowSegs) * c)
+	if windowSegs > 0 {
+		t.Sleep(sim.Duration(windowSegs) * analysisPerSegmentCPU)
 	}
 	plane.SetStat("posix_read_bandwidth_MBps", fmt.Sprintf("%.2f", analysis.ReadBandwidthMBps()))
 	plane.SetStat("posix_opens", fmt.Sprintf("%d", analysis.Opens))
@@ -165,8 +161,6 @@ func (d *DarshanTracer) CollectData(t *sim.Thread, space *profiler.XSpace) error
 // TraceViewer line per file, returning the number of segments converted.
 func (d *DarshanTracer) populateTimelines(plane *profiler.XPlane, analysis *SessionStats) int64 {
 	jobStartOffset := func(sec float64) int64 { return int64(sec * 1e9) }
-	maxFiles := d.h.cfg.MaxTimelineFiles
-	lines := 0
 	var converted int64
 	for i := range d.stopSnap.DXT {
 		rec := &d.stopSnap.DXT[i]
@@ -193,12 +187,8 @@ func (d *DarshanTracer) populateTimelines(plane *profiler.XPlane, analysis *Sess
 		if len(events) == 0 {
 			continue
 		}
-		if maxFiles > 0 && lines >= maxFiles {
-			break
-		}
 		line := plane.Line(int64(rec.ID&0x7FFFFFFFFFFFFFFF), name)
 		line.Events = append(line.Events, events...)
-		lines++
 		converted += int64(len(events))
 	}
 	plane.SortLines()

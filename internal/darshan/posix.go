@@ -153,7 +153,7 @@ func (m *PosixModule) recordFor(t *sim.Thread, path string) *PosixRecord {
 		m.Untracked++
 		return nil
 	}
-	m.rt.chargeNewRecord(t)
+	t.Sleep(newRecordCPU)
 	rec := &PosixRecord{ID: id, Rank: m.rt.rank}
 	m.records[id] = rec
 	m.order = append(m.order, id)

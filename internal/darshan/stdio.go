@@ -71,7 +71,7 @@ func (m *StdioModule) recordFor(t *sim.Thread, path string) *StdioRecord {
 		m.Untracked++
 		return nil
 	}
-	m.rt.chargeNewRecord(t)
+	t.Sleep(newRecordCPU)
 	rec := &StdioRecord{ID: id, Rank: m.rt.rank}
 	m.records[id] = rec
 	m.order = append(m.order, id)

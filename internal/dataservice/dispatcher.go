@@ -23,24 +23,18 @@ type DispatcherStats struct {
 // fixed service latency, so a flood of concurrent registrations queues —
 // the dispatcher is a saturable resource like the MDS, not bookkeeping.
 type Dispatcher struct {
-	mu      sim.Mutex
-	latency sim.Duration
-	active  int
-	stats   DispatcherStats
-}
-
-func newDispatcher(latency sim.Duration) *Dispatcher {
-	return &Dispatcher{latency: latency}
+	mu     sim.Mutex
+	active int
+	stats  DispatcherStats
 }
 
 // rpc serializes ops control-plane round trips through the dispatcher,
-// charging the service latency for each to the calling thread.
+// charging dispatcherLatency for each to the calling thread.
 func (d *Dispatcher) rpc(t *sim.Thread, ops int64) {
 	d.mu.Lock(t)
-	if dur := sim.Duration(ops * int64(d.latency)); dur > 0 {
-		t.Sleep(dur)
-		d.stats.BusyNs += int64(dur)
-	}
+	dur := sim.Duration(ops) * dispatcherLatency
+	t.Sleep(dur)
+	d.stats.BusyNs += dur
 	d.mu.Unlock(t)
 }
 

@@ -37,23 +37,20 @@ import (
 	"repro/internal/vfs"
 )
 
-// Defaults for Config zero fields.
+// DefaultThreads is the per-(job,worker) map parallelism when
+// Config.Threads is zero.
+const DefaultThreads = 1
+
 const (
-	DefaultThreads  = 1
-	DefaultPrefetch = 2
+	// prefetchDepth is the per-(job,worker) ready-batch buffer depth.
+	prefetchDepth = 2
+	// dispatcherLatency is the service time of one control-plane RPC
+	// (registration, lease grant/release) at the dispatcher.
+	dispatcherLatency = 200 * sim.Microsecond
+	// linkLatency is the per-batch latency of a worker-to-trainer
+	// transfer over the interconnect (storage.InterconnectBandwidth).
+	linkLatency = 25 * sim.Microsecond
 )
-
-// DefaultDispatcherLatency is the service time of one control-plane RPC
-// (registration, lease grant/release) at the dispatcher.
-var DefaultDispatcherLatency = sim.FromMicros(200)
-
-// DefaultLinkLatency is the per-batch latency of a worker-to-trainer
-// transfer over the interconnect.
-var DefaultLinkLatency = sim.FromMicros(25)
-
-// DefaultPeerLatency is the per-request latency of a peer-cache transfer
-// between workers (one RDMA round trip).
-var DefaultPeerLatency = sim.FromMicros(5)
 
 // Config shapes the service.
 type Config struct {
@@ -61,9 +58,6 @@ type Config struct {
 	MapFn tfdata.MapFunc
 	// Threads is the per-(job,worker) map parallelism (0 = DefaultThreads).
 	Threads int
-	// Prefetch is the per-(job,worker) ready-batch buffer depth
-	// (0 = DefaultPrefetch).
-	Prefetch int
 	// CacheBytes enables the shared cache tier: each worker gets a
 	// vfs.NodeCache of this capacity on its NVMe, read-through-filled on
 	// first touch. 0 disables the tier (independent cold pipelines).
@@ -71,47 +65,6 @@ type Config struct {
 	// PeerServing lets one worker's cached copy serve the whole fleet over
 	// the interconnect — the cross-worker half of the shared tier.
 	PeerServing bool
-	// PeerLatency/PeerBandwidth shape peer-cache transfers
-	// (0 = DefaultPeerLatency / distributed.DefaultLinkBandwidth).
-	PeerLatency   sim.Duration
-	PeerBandwidth float64
-	// JobSlots bounds concurrently admitted jobs (each job occupies one
-	// slot on every worker of the symmetric fleet); a job registering
-	// beyond the bound queues at the dispatcher until a slot frees.
-	// 0 = unlimited.
-	JobSlots int
-	// DispatcherLatency is the per-RPC control-plane service time
-	// (0 = DefaultDispatcherLatency).
-	DispatcherLatency sim.Duration
-	// LinkLatency/LinkBandwidth shape worker-to-trainer batch transfers
-	// (0 = DefaultLinkLatency / distributed.DefaultLinkBandwidth).
-	LinkLatency   sim.Duration
-	LinkBandwidth float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Threads <= 0 {
-		c.Threads = DefaultThreads
-	}
-	if c.Prefetch <= 0 {
-		c.Prefetch = DefaultPrefetch
-	}
-	if c.PeerLatency <= 0 {
-		c.PeerLatency = DefaultPeerLatency
-	}
-	if c.PeerBandwidth == 0 {
-		c.PeerBandwidth = distributed.DefaultLinkBandwidth
-	}
-	if c.DispatcherLatency <= 0 {
-		c.DispatcherLatency = DefaultDispatcherLatency
-	}
-	if c.LinkLatency <= 0 {
-		c.LinkLatency = DefaultLinkLatency
-	}
-	if c.LinkBandwidth == 0 {
-		c.LinkBandwidth = distributed.DefaultLinkBandwidth
-	}
-	return c
 }
 
 // JobSpec describes one training job the dispatcher admits.
@@ -144,8 +97,6 @@ type JobResult struct {
 	// ColdBytes is the job's epoch read volume with no sharing at all
 	// (sum of its files' sizes) — the dedup invariant's per-job term.
 	ColdBytes int64
-	// AdmitNs is the time the job queued for an admission slot.
-	AdmitNs int64
 	// WaitNs is the consumer's time blocked waiting on workers.
 	WaitNs int64
 	// StartNs/EndNs bracket the job from lease grant to last batch.
@@ -160,8 +111,6 @@ type Service struct {
 	cluster *platform.Cluster
 	cfg     Config
 	disp    *Dispatcher
-	// slots is the admission bound (nil = unlimited).
-	slots *sim.Semaphore
 	// caches is the shared tier, one cache per worker (nil when disabled).
 	caches []*vfs.NodeCache
 	// inflight collapses concurrent cache fills of the same file onto one
@@ -179,24 +128,21 @@ func New(c *platform.Cluster, cfg Config) (*Service, error) {
 	if cfg.MapFn == nil {
 		return nil, fmt.Errorf("dataservice: Config.MapFn is required")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Threads <= 0 {
+		cfg.Threads = DefaultThreads
+	}
 	s := &Service{
 		cluster:  c,
 		cfg:      cfg,
-		disp:     newDispatcher(cfg.DispatcherLatency),
+		disp:     &Dispatcher{},
 		inflight: make(map[string]*sim.Chan[struct{}]),
-	}
-	if cfg.JobSlots > 0 {
-		s.slots = sim.NewSemaphore(cfg.JobSlots)
 	}
 	if cfg.CacheBytes > 0 {
 		for _, n := range c.Nodes {
 			s.caches = append(s.caches, c.FS.EnableNodeCache(n.Node, vfs.NodeCacheConfig{
-				Capacity:      cfg.CacheBytes,
-				Device:        n.Optane,
-				PeerServing:   cfg.PeerServing,
-				PeerLatency:   cfg.PeerLatency,
-				PeerBandwidth: cfg.PeerBandwidth,
+				Capacity:    cfg.CacheBytes,
+				Device:      n.Optane,
+				PeerServing: cfg.PeerServing,
 			}))
 		}
 	}
@@ -232,10 +178,9 @@ type Job struct {
 	cancelled bool
 }
 
-// Register admits a job: it queues for an admission slot if the fleet is
-// saturated, then the dispatcher grants one shard lease per worker (the
-// job's epoch order sharded across the symmetric fleet) and each worker
-// spawns a serving pipeline for the job. Returns the consumer handle the
+// Register admits a job: the dispatcher grants one shard lease per worker
+// (the job's epoch order sharded across the symmetric fleet) and each
+// worker spawns a serving pipeline for the job. Returns the consumer handle the
 // trainer pulls batches from.
 func (s *Service) Register(t *sim.Thread, spec JobSpec) (*Job, error) {
 	if spec.Batch < 1 {
@@ -246,11 +191,6 @@ func (s *Service) Register(t *sim.Thread, spec JobSpec) (*Job, error) {
 	}
 	j := &Job{svc: s, spec: spec}
 	j.res.Name = spec.Name
-	admitStart := t.Now()
-	if s.slots != nil {
-		s.slots.Acquire(t, 1)
-	}
-	j.res.AdmitNs = t.Now() - admitStart
 
 	w := s.Workers()
 	leases := make([][]string, w)
@@ -292,7 +232,7 @@ func (s *Service) spawnServer(j *Job, w int, lease []string) {
 		ds := tfdata.FromFiles(env, lease).
 			Map(s.mapFnFor(w), s.cfg.Threads).
 			Batch(j.spec.Batch).
-			Prefetch(s.cfg.Prefetch)
+			Prefetch(prefetchDepth)
 		it, err := ds.MakeIterator()
 		if err != nil {
 			// Like tfdata's map errors: a configuration mistake, fatal.
@@ -364,13 +304,11 @@ func (s *Service) ensureCached(t *sim.Thread, w int, p string) {
 // transfer charges the interconnect cost of moving one batch from a
 // worker to the trainer.
 func (j *Job) transfer(t *sim.Thread, n int64) {
-	d := j.svc.cfg.LinkLatency
-	if j.svc.cfg.LinkBandwidth > 0 && n > 0 {
-		d += sim.FromSeconds(float64(n) / j.svc.cfg.LinkBandwidth)
+	d := linkLatency
+	if n > 0 {
+		d += sim.FromSeconds(float64(n) / storage.InterconnectBandwidth)
 	}
-	if d > 0 {
-		t.Sleep(d)
-	}
+	t.Sleep(d)
 }
 
 // Next delivers the job's next batch, pulling round-robin across the
@@ -412,7 +350,7 @@ func (j *Job) Next(t *sim.Thread) (tfdata.Batch, bool) {
 // Drain cancels the job's remaining epoch mid-stream: serving pipelines
 // shut down after their in-flight element and everything still queued is
 // discarded. Next returns false afterwards; Unregister still releases the
-// leases and slot.
+// leases.
 func (j *Job) Drain(t *sim.Thread) {
 	if j.cancelled {
 		return
@@ -444,17 +382,13 @@ func (j *Job) done() bool {
 // Result returns the job's outcome so far.
 func (j *Job) Result() JobResult { return j.res }
 
-// Unregister releases the job's shard leases and its admission slot. A
-// job abandoned mid-epoch is drained first — leaving serving threads
+// Unregister releases the job's shard leases. A job abandoned mid-epoch is drained first — leaving serving threads
 // parked on a dead job would wedge the kernel at shutdown.
 func (s *Service) Unregister(t *sim.Thread, j *Job) {
 	if !j.done() {
 		j.Drain(t)
 	}
 	s.disp.unregister(t, j.res.Workers)
-	if s.slots != nil {
-		s.slots.Release(t, 1)
-	}
 	if j.res.EndNs == 0 {
 		j.res.EndNs = t.Now()
 	}

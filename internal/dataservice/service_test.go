@@ -61,9 +61,6 @@ func TestServiceEpochExact(t *testing.T) {
 		if j.ColdBytes != int64(nFiles)*fileSize || j.Bytes != j.ColdBytes {
 			t.Fatalf("%s: bytes %d / cold %d, want both %d", j.Name, j.Bytes, j.ColdBytes, int64(nFiles)*fileSize)
 		}
-		if j.AdmitNs != 0 {
-			t.Fatalf("%s: queued %dns for admission with unlimited slots", j.Name, j.AdmitNs)
-		}
 	}
 	// No sharing: every job reads the corpus cold off the PFS.
 	if want := int64(jobs) * int64(nFiles) * fileSize; res.PFSBytesRead != want {
@@ -90,51 +87,15 @@ func TestServiceEpochExact(t *testing.T) {
 	}
 }
 
-// TestServiceAdmissionAfterSaturation: with one admission slot, a job
-// registering after the fleet is saturated queues at the dispatcher
-// (AdmitNs > 0), is admitted once the running job unregisters, and still
-// completes its epoch exactly.
-func TestServiceAdmissionAfterSaturation(t *testing.T) {
-	const workers, nFiles = 2, 16
-	const fileSize = int64(64 << 10)
-	c, paths := serviceFixture(t, workers, nFiles, fileSize)
-	specs := []JobSpec{
-		{Name: "first", Paths: paths, Shuffle: testSeed, Batch: 4},
-		{Name: "second", Paths: paths, Shuffle: testSeed + 1, Batch: 4},
-	}
-	res, err := Run(c, specs, Config{MapFn: workload.ImageNetMap, JobSlots: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, second := res.Jobs[0], res.Jobs[1]
-	if first.AdmitNs != 0 {
-		t.Fatalf("first job queued %dns with a free slot", first.AdmitNs)
-	}
-	if second.AdmitNs == 0 {
-		t.Fatal("second job admitted instantly past a saturated fleet")
-	}
-	if second.StartNs < first.EndNs {
-		t.Fatalf("second job started (%dns) before the first finished (%dns) despite one slot", second.StartNs, first.EndNs)
-	}
-	for _, j := range res.Jobs {
-		if j.Batches != j.ExpectedBatches || j.Samples != nFiles {
-			t.Fatalf("%s: %d/%d batches, %d samples — queued job lost data", j.Name, j.Batches, j.ExpectedBatches, j.Samples)
-		}
-	}
-	if res.Dispatcher.PeakJobs != 1 {
-		t.Fatalf("dispatcher peak %d jobs, admission bound is 1", res.Dispatcher.PeakJobs)
-	}
-}
-
 // TestServiceDrainMidEpoch: a job abandoning its epoch mid-stream drains
 // cleanly — serving pipelines shut down (the kernel runs to completion),
-// Unregister releases every shard lease and the admission slot, and a
-// follow-up job admits and runs a full epoch on the freed fleet.
+// Unregister releases every shard lease, and a follow-up job registers
+// and runs a full epoch on the freed fleet.
 func TestServiceDrainMidEpoch(t *testing.T) {
 	const workers, nFiles = 2, 20
 	const fileSize = int64(64 << 10)
 	c, paths := serviceFixture(t, workers, nFiles, fileSize)
-	svc, err := New(c, Config{MapFn: workload.ImageNetMap, JobSlots: 1})
+	svc, err := New(c, Config{MapFn: workload.ImageNetMap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +117,8 @@ func TestServiceDrainMidEpoch(t *testing.T) {
 		}
 		svc.Unregister(th, j)
 		drained = j.Result()
-		// The slot and leases are free again: with JobSlots=1 this second
-		// registration would park forever if Unregister leaked them.
+		// The leases are free again: the follow-up job gets a fresh lease
+		// on every worker.
 		j2, err := svc.Register(th, JobSpec{Name: "follow", Paths: paths, Shuffle: testSeed + 1, Batch: 4})
 		if err != nil {
 			t.Error(err)

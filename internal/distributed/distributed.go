@@ -30,10 +30,6 @@ import (
 	"repro/internal/tf/tfio"
 )
 
-// DefaultLinkBandwidth is the interconnect bandwidth of the allreduce
-// cost model (EDR InfiniBand, ~100 Gbit/s per node).
-const DefaultLinkBandwidth = 12.5e9
-
 // Options configures one distributed training run.
 type Options struct {
 	// Threads is the per-rank map parallelism (num_parallel_calls).
@@ -53,13 +49,6 @@ type Options struct {
 	// short probe windows the cluster tuner measures before committing to
 	// a configuration.
 	ProbeSteps int
-	// Epochs repeats the shard (tfdata.Repeat); 0 or 1 is a single epoch.
-	Epochs int
-	// InterleaveCycle/InterleaveBlock, when both positive, rearrange each
-	// rank's shard into block-cyclic per-worker streams
-	// (tfdata.Interleave) before mapping.
-	InterleaveCycle int
-	InterleaveBlock int
 	// Shuffle seeds the shared file shuffle. Every rank shuffles the full
 	// list with the same seed and then shards, the standard data-parallel
 	// recipe that keeps shards disjoint.
@@ -68,8 +57,9 @@ type Options struct {
 	// each rank an explicit file sequence instead of the shuffle+shard
 	// prefix — the clairvoyant schedules of the prefetch experiment, where
 	// epoch e's order is a fresh seeded reshuffle and all epochs are
-	// concatenated per rank. Shuffle and Epochs are ignored; the paths
-	// argument of Run still names the underlying file set.
+	// concatenated per rank (the only multi-epoch layout). Shuffle is
+	// ignored; the paths argument of Run still names the underlying file
+	// set.
 	RankPaths [][]string
 	// AfterRank, when set, runs on the rank's sim thread after the rank
 	// finishes (success or failure, before the thread exits) — the hook a
@@ -85,9 +75,6 @@ type Options struct {
 	Model func() *keras.Model
 	// MapFn is the capture function of every rank's input pipeline.
 	MapFn tfdata.MapFunc
-	// LinkBandwidth is the allreduce interconnect bandwidth in bytes/s
-	// (DefaultLinkBandwidth when 0; negative disables gradient cost).
-	LinkBandwidth float64
 	// VerifyContent disables the zero-materialization read fast path on
 	// every rank.
 	VerifyContent bool
@@ -257,9 +244,6 @@ func (o *Options) validate(ranks int) error {
 		}
 	}
 	if len(o.Failures) > 0 {
-		if o.InterleaveCycle > 0 && o.InterleaveBlock > 0 {
-			return fmt.Errorf("distributed: failure schedules are not supported with interleave")
-		}
 		prev := 0
 		for i, ev := range o.Failures {
 			if ev.Rank < 0 || ev.Rank >= ranks {
@@ -295,10 +279,10 @@ func ShardPaths(paths []string, shuffle int64, ranks, rank int) []string {
 // exhausting its shard: the minimum across ranks of full batches per
 // shard (at least one — the final partial batch — so tiny shards still
 // train).
-func lockstepSteps(nFiles, ranks, epochs, batch int) (int, error) {
+func lockstepSteps(nFiles, ranks, batch int) (int, error) {
 	steps := -1
 	for r := 0; r < ranks; r++ {
-		n := tfdata.ShardLen(nFiles, ranks, r) * epochs
+		n := tfdata.ShardLen(nFiles, ranks, r)
 		if n == 0 {
 			return 0, fmt.Errorf("distributed: rank %d of %d has an empty shard (%d files)", r, ranks, nFiles)
 		}
@@ -314,10 +298,10 @@ func lockstepSteps(nFiles, ranks, epochs, batch int) (int, error) {
 }
 
 // Run executes one synchronous data-parallel training job over the
-// cluster: every rank builds shuffle→shard→(repeat/interleave)→map→batch→
-// prefetch over the same shared file list, fits its model replica in
-// lockstep with the others, and exports its Darshan record set. The
-// per-rank sets are merged before returning.
+// cluster: every rank builds shuffle→shard→map→batch→prefetch over the
+// same shared file list, fits its model replica in lockstep with the
+// others, and exports its Darshan record set. The per-rank sets are
+// merged before returning.
 func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 	ranks := len(c.Nodes)
 	if ranks == 0 {
@@ -325,10 +309,6 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 	}
 	if err := opts.validate(ranks); err != nil {
 		return nil, err
-	}
-	epochs := opts.Epochs
-	if epochs < 1 {
-		epochs = 1
 	}
 	var steps int
 	var err error
@@ -345,7 +325,7 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 			}
 		}
 	} else {
-		steps, err = lockstepSteps(len(paths), ranks, epochs, opts.Batch)
+		steps, err = lockstepSteps(len(paths), ranks, opts.Batch)
 		if err != nil {
 			return nil, err
 		}
@@ -359,7 +339,7 @@ func Run(c *platform.Cluster, paths []string, opts Options) (*Result, error) {
 		}
 	}
 
-	d := newDriver(c, opts, steps, epochs)
+	d := newDriver(c, opts, steps)
 	res := &Result{Steps: steps, PerRank: make([]RankResult, ranks)}
 	d.res = res
 	errs := make([]error, ranks)

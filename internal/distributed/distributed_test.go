@@ -254,26 +254,32 @@ func TestLockstepSynchronizationCouplesRanks(t *testing.T) {
 	}
 }
 
-func TestEpochsAndInterleave(t *testing.T) {
+// TestRankPathsMultiEpoch: explicit per-rank sequences are how a job
+// runs more than one epoch — two concatenated passes over each rank's
+// shard open every file twice and double the lockstep step count.
+func TestRankPathsMultiEpoch(t *testing.T) {
+	const ranks, files = 2, 24
+	c := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true})
+	d := buildDataset(t, c, files)
 	opts := defaultOpts()
-	opts.Epochs = 2
-	opts.InterleaveCycle = 4
-	opts.InterleaveBlock = 2
 	opts.Batch = 4
 	opts.Model = nil // STREAM-style lockstep loop
 	opts.MapFn = workload.StreamMap
-	res := runRanks(t, 2, 24, opts)
+	opts.RankPaths = make([][]string, ranks)
+	for r := range opts.RankPaths {
+		shard := ShardPaths(d.Paths, opts.Shuffle, ranks, r)
+		opts.RankPaths[r] = append(append([]string(nil), shard...), shard...)
+	}
+	res, err := Run(c, d.Paths, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 24 files, 2 ranks, 2 epochs: every file is opened exactly twice.
 	if got := res.Merged.TotalPosix(darshan.POSIX_OPENS); got != 48 {
 		t.Fatalf("merged opens = %d, want 48", got)
 	}
 	if res.Steps != 6 { // 12 files x 2 epochs / batch 4
 		t.Fatalf("steps = %d, want 6", res.Steps)
-	}
-	for _, r := range res.PerRank {
-		if r.ShardFiles != 12 { // the shard itself, not shard x epochs
-			t.Fatalf("rank %d shard files = %d, want 12", r.Rank, r.ShardFiles)
-		}
 	}
 }
 

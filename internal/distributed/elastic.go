@@ -82,7 +82,7 @@ func (d *driver) ensureElasticPlan(paths []string) {
 	// The victim died at the start of step brk, so its batches for steps
 	// brk.. remain unconsumed. (Its step-brk batch was never read: the
 	// death fires before the iterator pull.)
-	vseq := epochSequence(ShardPaths(paths, d.opts.Shuffle, ranks, victim), d.epochs, false)
+	vseq := ShardPaths(paths, d.opts.Shuffle, ranks, victim)
 	voff := min((brk-1)*batch, len(vseq))
 	vrem := vseq[voff:]
 
@@ -93,7 +93,7 @@ func (d *driver) ensureElasticPlan(paths []string) {
 		if r == victim {
 			continue
 		}
-		seq := epochSequence(ShardPaths(paths, d.opts.Shuffle, ranks, r), d.epochs, false)
+		seq := ShardPaths(paths, d.opts.Shuffle, ranks, r)
 		off := min(brk*batch, len(seq))
 		// Own remaining work, then this survivor's deterministic share of
 		// the victim's remainder (tf.data shard semantics over the live

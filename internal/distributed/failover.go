@@ -6,6 +6,7 @@ import (
 	"repro/internal/darshan"
 	"repro/internal/platform"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/tf"
 	"repro/internal/tf/keras"
 	"repro/internal/tf/tfdata"
@@ -164,11 +165,9 @@ type failureState struct {
 // driver is one distributed run's shared state: the elastic step barrier
 // plus the failure blackboards.
 type driver struct {
-	c      *platform.Cluster
-	opts   Options
-	steps  int
-	epochs int
-	linkBW float64
+	c     *platform.Cluster
+	opts  Options
+	steps int
 	// bar is the per-step gradient barrier. A single-party barrier is a
 	// no-op, keeping one-rank runs bit-identical to the plain
 	// single-process training loop.
@@ -191,14 +190,10 @@ type driver struct {
 	res     *Result
 }
 
-func newDriver(c *platform.Cluster, opts Options, steps, epochs int) *driver {
+func newDriver(c *platform.Cluster, opts Options, steps int) *driver {
 	ranks := len(c.Nodes)
-	linkBW := opts.LinkBandwidth
-	if linkBW == 0 {
-		linkBW = DefaultLinkBandwidth
-	}
 	d := &driver{
-		c: c, opts: opts, steps: steps, epochs: epochs, linkBW: linkBW,
+		c: c, opts: opts, steps: steps,
 		bar:     sim.NewBarrier(ranks),
 		halted:  make([]bool, ranks),
 		fails:   make([]failureState, len(opts.Failures)),
@@ -340,21 +335,6 @@ func mergeHistories(segs []*keras.History) *keras.History {
 	return out
 }
 
-// epochSequence materializes the file sequence a rank consumes over the
-// whole job: the shard repeated per epoch (explicit RankPaths schedules
-// already concatenate their epochs). Replay segments slice into this to
-// resume mid-job.
-func epochSequence(rankPaths []string, epochs int, explicit bool) []string {
-	if explicit || epochs <= 1 {
-		return rankPaths
-	}
-	seq := make([]string, 0, len(rankPaths)*epochs)
-	for e := 0; e < epochs; e++ {
-		seq = append(seq, rankPaths...)
-	}
-	return seq
-}
-
 // runRank is one rank's whole job: an event loop over fit segments with
 // the per-rank lifecycle running → failed → rejoined → restoring →
 // running. A run without failure events executes exactly one segment
@@ -379,11 +359,11 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 	// mid-step: the step did not commit, so the gradient exchange is
 	// skipped and the rank stops at the next step boundary.
 	gradCostFor := func(n int) sim.Duration {
-		if d.linkBW <= 0 || n <= 1 {
+		if n <= 1 {
 			return 0
 		}
 		bytes := float64(model.ParamBytes())
-		return sim.Duration(2 * float64(n-1) / float64(n) * bytes / d.linkBW * 1e9)
+		return sim.Duration(2 * float64(n-1) / float64(n) * bytes / storage.InterconnectBandwidth * 1e9)
 	}
 	gradCost := gradCostFor(ranks)
 	allReduce := func(t *sim.Thread, step int) {
@@ -437,15 +417,8 @@ func (d *driver) runRank(t *sim.Thread, r int, paths []string) error {
 		case base == 0:
 			ds = tfdata.FromFiles(node.Env, rankPaths)
 			rr.ShardFiles = ds.Size()
-			if opts.RankPaths == nil && d.epochs > 1 {
-				ds = ds.Repeat(d.epochs)
-			}
-			if opts.InterleaveCycle > 0 && opts.InterleaveBlock > 0 {
-				ds = ds.Interleave(opts.InterleaveCycle, opts.InterleaveBlock)
-			}
 		default:
-			seq := epochSequence(rankPaths, d.epochs, opts.RankPaths != nil)
-			ds = tfdata.FromFiles(node.Env, seq[base*opts.Batch:])
+			ds = tfdata.FromFiles(node.Env, rankPaths[base*opts.Batch:])
 		}
 		ds = ds.Map(opts.MapFn, opts.threadsFor(r)).Batch(opts.Batch).Prefetch(opts.prefetchFor(r))
 		it, err := ds.MakeIterator()

@@ -54,8 +54,6 @@ type DataServiceRung struct {
 	PFSBytesRead int64
 	ColdBytes    int64
 	DedupX       float64
-	// AdmitSec is the total time jobs queued for admission.
-	AdmitSec float64
 	// Utilizations of the four saturable resources over the run's wall
 	// time; Saturated names the largest.
 	PFSUtil   float64
@@ -74,13 +72,11 @@ type DataServiceRow struct {
 	// rung — where adding jobs stops buying throughput (the last rung if
 	// the ramp never knees).
 	KneeJobs int
-	// NoCacheWallSec/NoCachePFSBytes are the independent-pipelines
-	// baseline at dataserviceBaselineJobs; SpeedupX and BytesSavedMB
-	// compare the service's same-rung run against it.
-	NoCacheWallSec  float64
-	NoCachePFSBytes int64
-	SpeedupX        float64
-	BytesSavedMB    float64
+	// SpeedupX and BytesSavedMB compare the service's run at
+	// dataserviceBaselineJobs against the independent-pipelines baseline
+	// at the same job count.
+	SpeedupX     float64
+	BytesSavedMB float64
 }
 
 // DataServiceResult is the disaggregated data service experiment.
@@ -212,7 +208,6 @@ func runDataServicePoint(c Config, fleet, jobs int, shared bool) (DataServiceRun
 				fleet, jobs, j.Name, j.Bytes, j.ColdBytes)
 		}
 		delivered += j.Bytes
-		rung.AdmitSec += sim.Seconds(j.AdmitNs)
 	}
 	// Sharing: the fleet reads every corpus byte at least once, and never
 	// more than the jobs would have read with no sharing at all; with the
@@ -302,8 +297,6 @@ func DataServiceExperiment(c Config) (*DataServiceResult, error) {
 		row.Rungs = rungs[fi*perFleet : fi*perFleet+len(dataserviceJobRamp)]
 		baseline := rungs[fi*perFleet+len(dataserviceJobRamp)]
 		row.KneeJobs = kneeJobs(row.Rungs)
-		row.NoCacheWallSec = baseline.WallSec
-		row.NoCachePFSBytes = baseline.PFSBytesRead
 
 		var at *DataServiceRung
 		for i := range row.Rungs {

@@ -31,12 +31,9 @@ type RanksRow struct {
 	MeanSyncSec float64
 	// Steps is the lockstep step count.
 	Steps int
-	// MergedReads/MergedBytesRead are aggregate counters from the
+	// MergedBytesRead is the aggregate POSIX_BYTES_READ of the
 	// cross-rank Darshan merge.
-	MergedReads     int64
 	MergedBytesRead int64
-	// TimelineSegs is the merged, rank-attributed DXT segment count.
-	TimelineSegs int
 }
 
 // RanksResult is the distributed data-parallel scaling experiment: the
@@ -155,9 +152,7 @@ func runRankCount(c Config, ranks int) (RanksRow, error) {
 		Ranks:           ranks,
 		EpochSec:        res.WallSeconds,
 		Steps:           res.Steps,
-		MergedReads:     res.Merged.TotalPosix(darshan.POSIX_READS),
 		MergedBytesRead: mergedBytes,
-		TimelineSegs:    res.Merged.NumSegments(),
 	}
 	if res.WallSeconds > 0 {
 		row.AggReadMBps = float64(mergedBytes) / 1e6 / res.WallSeconds

@@ -46,11 +46,8 @@ type PrefetchRung struct {
 	// the offline plan cannot fully stage.
 	Constrained bool
 	// StagedEpochSec is the epoch time with the offline staging plan
-	// (capped at this rung's capacity) applied between runs; StagedFiles/
-	// StagedBytes aggregate the per-rank plans.
+	// (capped at this rung's capacity) applied between runs.
 	StagedEpochSec float64
-	StagedFiles    int
-	StagedBytes    int64
 	// NoPeerEpochSec/PeerEpochSec are the prefetched epoch times without
 	// and with peer-cache serving.
 	NoPeerEpochSec float64
@@ -60,11 +57,8 @@ type PrefetchRung struct {
 	LocalRate float64
 	PeerRate  float64
 	PFSRate   float64
-	// Evictions/Fetched/SkippedPeer aggregate the peer-serving run's
-	// cache and daemon counters across nodes.
-	Evictions   int64
-	Fetched     int64
-	SkippedPeer int64
+	// Evictions sums the peer-serving run's cache evictions across nodes.
+	Evictions int64
 }
 
 // SpeedupVsStagingX returns staged/prefetched epoch time at this rung.
@@ -78,9 +72,6 @@ func (r *PrefetchRung) SpeedupVsStagingX() float64 {
 // PrefetchRow is one rank count of the prefetch experiment.
 type PrefetchRow struct {
 	Ranks int
-	// ShardBytes is the largest per-rank epoch shard (the working set the
-	// ladder fractions scale).
-	ShardBytes int64
 	// ColdEpochSec is the shared-Lustre baseline epoch time with no cache
 	// tier at all.
 	ColdEpochSec float64
@@ -274,7 +265,6 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 	coldBytes := cold.Merged.TotalPosix(darshan.POSIX_BYTES_READ)
 	row := PrefetchRow{
 		Ranks:        ranks,
-		ShardBytes:   shardBytes,
 		ColdEpochSec: cold.WallSeconds / prefetchEpochs,
 	}
 
@@ -299,13 +289,6 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 		advices := make([]*core.StagingAdvice, len(fullAdvices))
 		for r, adv := range fullAdvices {
 			advices[r] = capStagingAdvice(adv, capBytes, sizeOf)
-		}
-		for _, adv := range advices {
-			if adv == nil {
-				continue
-			}
-			rung.StagedFiles += adv.FileCount
-			rung.StagedBytes += adv.Bytes
 		}
 		stagedCluster, stagedData, err := buildImageNetCluster(c, ranks, false)
 		if err != nil {
@@ -359,8 +342,6 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 			peerHits += rep.Cache.PeerHits
 			pfs += rep.Cache.PFSReads
 			rung.Evictions += rep.Cache.Evictions
-			rung.Fetched += rep.Prefetch.Fetched
-			rung.SkippedPeer += rep.Prefetch.SkippedPeer
 		}
 		if total := local + peerHits + pfs; total > 0 {
 			rung.LocalRate = float64(local) / float64(total)

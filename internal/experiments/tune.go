@@ -53,11 +53,8 @@ type TuneRow struct {
 	// configuration the tuned epoch runs.
 	Threads  int
 	Prefetch int
-	// StagedFiles/StagedBytes aggregate the per-rank staging plans.
+	// StagedFiles sums the files of the per-rank staging plans.
 	StagedFiles int
-	StagedBytes int64
-	// Probes counts tuning windows across both layouts.
-	Probes int
 }
 
 // SpeedupX returns untuned/tuned epoch time.
@@ -238,7 +235,6 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 	}
 	for _, adv := range advices {
 		row.StagedFiles += adv.FileCount
-		row.StagedBytes += adv.Bytes
 	}
 
 	// Tuner pass 1, shared Lustre: the merged meta-time knee backs the
@@ -261,7 +257,6 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 	}
 	row.Threads = stagedAdv.ThreadsPerRank()
 	row.Prefetch = stagedAdv.PrefetchPerRank()
-	row.Probes = len(lustreAdv.History) + len(stagedAdv.History)
 
 	// Tuned epoch: staged layout, per-rank threads/prefetch.
 	tuned, err := runTuneWindow(c, ranks, advices, func(o *distributed.Options) {

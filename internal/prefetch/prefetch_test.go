@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/darshan"
 	"repro/internal/distributed"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/tf"
 	"repro/internal/vfs"
 	"repro/internal/workload"
 )
@@ -209,33 +211,9 @@ func TestStopUnblocksTruncatedConsumer(t *testing.T) {
 // the run completes with overwhelmingly cache-served reads and that two
 // identical runs are deterministic.
 func TestRunClusterEndToEnd(t *testing.T) {
-	const ranks, files = 2, 48
-	run := func() (*distributed.Result, []NodeReport) {
-		c := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true})
-		spec := workload.DatasetSpec{
-			Name: "pf", Dir: platform.KebnekaiseLustre + "/pf",
-			NumFiles: files, TotalBytes: int64(files) * 96 * 1024, Seed: testSeed,
-		}
-		d, err := workload.Generate(c.FS, spec, workload.ImageNetSizes(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := distributed.Options{
-			Threads: 4, Batch: 8, Prefetch: 4, Shuffle: testSeed,
-			Model: workload.AlexNet, MapFn: workload.ImageNetMap,
-		}
-		res, reports, err := RunCluster(c, d.Paths, opts, Config{
-			CacheBytes:  64 << 20,
-			PeerServing: true,
-		}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, reports
-	}
-	res, reports := run()
-	if len(reports) != ranks {
-		t.Fatalf("got %d node reports, want %d", len(reports), ranks)
+	_, res, reports := runTwoRankCluster(t, nil)
+	if len(reports) != 2 {
+		t.Fatalf("got %d node reports, want 2", len(reports))
 	}
 	for _, r := range reports {
 		served := r.Cache.LocalHits + r.Cache.PeerHits
@@ -246,11 +224,72 @@ func TestRunClusterEndToEnd(t *testing.T) {
 			t.Fatalf("node %d: prefetcher fetched nothing", r.Node)
 		}
 	}
-	res2, reports2 := run()
+	_, res2, reports2 := runTwoRankCluster(t, nil)
 	if res.WallSeconds != res2.WallSeconds {
 		t.Fatalf("wall time not deterministic: %v vs %v", res.WallSeconds, res2.WallSeconds)
 	}
 	if !reflect.DeepEqual(reports, reports2) {
 		t.Fatal("node reports not deterministic across identical runs")
 	}
+}
+
+// TestRunClusterFetchFaultsDegradeToColdReads: a transient fault on a
+// prefetch fetch abandons that schedule entry (exactly one give-up per
+// injected fetch fault, no reissue), and the consumer — retrying its own
+// flaky reads — still reads every byte of the fault-free run.
+func TestRunClusterFetchFaultsDegradeToColdReads(t *testing.T) {
+	_, clean, _ := runTwoRankCluster(t, nil)
+	c, res, reports := runTwoRankCluster(t, func(c *platform.Cluster, opts *distributed.Options) {
+		c.FS.InjectFaults(vfs.FaultPlan{Seed: 9, ReadErrNth: 5})
+		opts.Retry = tf.RetryPolicy{
+			MaxRetries: 4, BaseBackoff: 2 * sim.Millisecond, MaxBackoff: 50 * sim.Millisecond, Seed: 9,
+		}
+	})
+	var giveups int64
+	for _, r := range reports {
+		giveups += r.Prefetch.FetchGiveups
+	}
+	faults := c.FS.TotalFaultStats().FetchFaults
+	if faults == 0 {
+		t.Fatal("fault plan injected no fetch faults")
+	}
+	if giveups != faults {
+		t.Fatalf("fetch give-ups %d, injected fetch faults %d", giveups, faults)
+	}
+	want := clean.Merged.TotalPosix(darshan.POSIX_BYTES_READ)
+	if got := res.Merged.TotalPosix(darshan.POSIX_BYTES_READ); got != want {
+		t.Fatalf("merged POSIX_BYTES_READ %d under fetch faults, %d fault-free", got, want)
+	}
+}
+
+// runTwoRankCluster runs a two-rank, two-epoch AlexNet job with a
+// peer-serving prefetcher on each node. arm, when non-nil, adjusts the
+// cluster and options before the run.
+func runTwoRankCluster(t *testing.T, arm func(*platform.Cluster, *distributed.Options)) (*platform.Cluster, *distributed.Result, []NodeReport) {
+	t.Helper()
+	const ranks, files = 2, 48
+	c := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true})
+	spec := workload.DatasetSpec{
+		Name: "pf", Dir: platform.KebnekaiseLustre + "/pf",
+		NumFiles: files, TotalBytes: int64(files) * 96 * 1024, Seed: testSeed,
+	}
+	d, err := workload.Generate(c.FS, spec, workload.ImageNetSizes(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := distributed.Options{
+		Threads: 4, Batch: 8, Prefetch: 4, Shuffle: testSeed,
+		Model: workload.AlexNet, MapFn: workload.ImageNetMap,
+	}
+	if arm != nil {
+		arm(c, &opts)
+	}
+	res, reports, err := RunCluster(c, d.Paths, opts, Config{
+		CacheBytes:  64 << 20,
+		PeerServing: true,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, res, reports
 }

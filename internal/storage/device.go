@@ -86,6 +86,15 @@ func bytesOver(n int64, bytesPerSec float64) sim.Duration {
 	return sim.Duration(float64(n) / bytesPerSec * float64(sim.Second))
 }
 
+// The cluster interconnect (EDR InfiniBand, ~100 Gbit/s per node): a
+// node-to-node transfer — a peer-cache serve, a data-service batch, a
+// gradient allreduce — moves its bytes at InterconnectBandwidth, and a
+// peer request pays InterconnectLatency (one RDMA round trip).
+const (
+	InterconnectLatency   = 5 * sim.Microsecond
+	InterconnectBandwidth = 12.5e9 // bytes/s
+)
+
 // MiB and friends are byte-size helpers used across device parameters.
 const (
 	KiB int64 = 1 << 10

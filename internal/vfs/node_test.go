@@ -78,11 +78,9 @@ func nodeCacheFixture(t *testing.T, capacity int64, peer bool) (*FS, *storage.HD
 	for n := 0; n < 2; n++ {
 		dev := storage.NewFlash("cache", storage.DefaultOptaneParams())
 		caches[n] = fs.EnableNodeCache(n, NodeCacheConfig{
-			Capacity:      capacity,
-			Device:        dev,
-			PeerServing:   peer,
-			PeerLatency:   sim.FromMicros(5),
-			PeerBandwidth: 12.5e9,
+			Capacity:    capacity,
+			Device:      dev,
+			PeerServing: peer,
 		})
 	}
 	return fs, hdd, caches

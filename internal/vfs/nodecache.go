@@ -17,14 +17,9 @@ type NodeCacheConfig struct {
 	// from the cache charge this device).
 	Device storage.Device
 	// PeerServing lets this node's misses be served from peer node caches
-	// over the interconnect instead of the PFS.
+	// over the interconnect (storage.InterconnectLatency per request, also
+	// charged for peer metadata resolution) instead of the PFS.
 	PeerServing bool
-	// PeerLatency is the per-request interconnect latency of a peer-cache
-	// transfer (also charged for peer metadata resolution).
-	PeerLatency sim.Duration
-	// PeerBandwidth is the interconnect bandwidth in bytes/second for
-	// peer-cache data transfers.
-	PeerBandwidth float64
 }
 
 // NodeCacheStats counts cache traffic. All byte counters refer to data
@@ -275,13 +270,11 @@ func (fs *FS) invalidateCached(ino *Inode) {
 // peerTransfer charges the interconnect cost of moving n bytes from a peer
 // node (per-request latency plus serialized bandwidth).
 func (c *NodeCache) peerTransfer(t *sim.Thread, n int64) {
-	d := c.cfg.PeerLatency
-	if c.cfg.PeerBandwidth > 0 && n > 0 {
-		d += sim.FromSeconds(float64(n) / c.cfg.PeerBandwidth)
+	d := storage.InterconnectLatency
+	if n > 0 {
+		d += sim.FromSeconds(float64(n) / storage.InterconnectBandwidth)
 	}
-	if d > 0 {
-		t.Sleep(d)
-	}
+	t.Sleep(d)
 }
 
 // peerHolder scans peer caches in ascending node order for a resident copy.
