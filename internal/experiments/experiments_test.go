@@ -328,26 +328,6 @@ func TestRegistryCoversAllArtifacts(t *testing.T) {
 	}
 }
 
-func TestResultsRenderAndReportMetrics(t *testing.T) {
-	// Every experiment renders non-empty output and metrics at tiny scale.
-	cfg := Config{Scale: 0.01}
-	for _, r := range All() {
-		res, err := r.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", r.ID, err)
-		}
-		if res.ID() != r.ID {
-			t.Fatalf("%s: result id %s", r.ID, res.ID())
-		}
-		if len(res.Render()) == 0 {
-			t.Fatalf("%s: empty render", r.ID)
-		}
-		if len(res.Metrics()) == 0 {
-			t.Fatalf("%s: no metrics", r.ID)
-		}
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	// Same config => identical figures, bit for bit.
 	cfg := Config{Scale: 0.02}

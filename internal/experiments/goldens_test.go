@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/darshan"
@@ -148,5 +149,47 @@ func TestDistributedArtifacts(t *testing.T) {
 		if log.Merged || log.NProcs != 1 {
 			t.Fatalf("rank %d log header: merged %v nprocs %d", r, log.Merged, log.NProcs)
 		}
+	}
+}
+
+const artifactsGolden = "artifacts.golden"
+
+// TestGoldenArtifacts renders every registered artifact's figure body and
+// metrics at scale 0.01 and compares the concatenation byte for byte with
+// testdata/artifacts.golden, so a refactor of the experiments cannot move
+// a single rendered number unnoticed. Regenerate with -update after an
+// intentional change to what an experiment reports.
+func TestGoldenArtifacts(t *testing.T) {
+	var ids []string
+	for _, r := range All() {
+		ids = append(ids, r.ID)
+	}
+	results, err := RunAll(Config{Scale: 0.01, Parallel: -1}, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for i, res := range results {
+		fmt.Fprintf(&b, "==== %s ====\n%s\nmetrics:\n%s\n", ids[i], res.Render(), RenderMetrics(res.Metrics()))
+	}
+	got := b.Bytes()
+	path := filepath.Join("testdata", artifactsGolden)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with: go test ./internal/experiments -run TestGoldenArtifacts -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("testdata/%s drifted at line %d:\n got: %s\nwant: %s", artifactsGolden, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("testdata/%s drifted: %d lines generated, %d committed", artifactsGolden, len(gl), len(wl))
 	}
 }
