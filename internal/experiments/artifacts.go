@@ -28,18 +28,14 @@ type RunArtifacts struct {
 // cluster job instead (Config.Ranks ranks, default 4) and emits the
 // merged darshan.log plus one log per rank.
 func ProduceArtifacts(c Config, useCase string) (*RunArtifacts, error) {
-	var setup *trainSetup
-	var err error
-	switch useCase {
-	case "imagenet":
-		setup, err = imagenetSetup(c, 1)
-	case "malware":
-		setup, _, err = malwareSetup(c, 1)
-	case "distributed":
+	if useCase == "distributed" {
 		return produceDistributedArtifacts(c)
-	default:
+	}
+	w, ok := map[string]*paperWorkload{"imagenet": imageNet, "malware": kaggleMalware}[useCase]
+	if !ok {
 		return nil, fmt.Errorf("unknown use case %q (want imagenet, malware or distributed)", useCase)
 	}
+	setup, err := newTrainSetup(c, w, 1, true)
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +68,7 @@ func produceDistributedArtifacts(c Config) (*RunArtifacts, error) {
 	if ranks == 0 {
 		ranks = 4
 	}
-	res, err := runDistributedImageNet(c, ranks)
+	res, err := runImageNetCluster(c, ranks, false, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/platform"
 	"repro/internal/tensorboard"
 	"repro/internal/tf/profiler"
-	"repro/internal/workload"
 )
 
 // CaseStudyResult is a profiled training epoch (Figs. 7a/7b/9/11a/11b).
@@ -21,20 +19,14 @@ type CaseStudyResult struct {
 	Reads         int64
 	ZeroReads     int64
 	SeqReads      int64
-	ConsecReads   int64
 	FilesAccessed int
-	BytesReadMB   float64
 	InputBoundPct float64
 	WallSec       float64
 
 	ReadHist []int64
-	FileHist []int64
 
 	Pages string // rendered TensorBoard pages
 }
-
-// ID implements Result.
-func (r *CaseStudyResult) ID() string { return r.Artifact }
 
 // Render implements Result.
 func (r *CaseStudyResult) Render() string {
@@ -95,7 +87,7 @@ func runCaseStudy(artifact, label string, setup *trainSetup) (*CaseStudyResult, 
 	if out.tb.Session != nil {
 		pd.SessionStartNs = out.tb.Session.StartNs
 	}
-	res := &CaseStudyResult{
+	return &CaseStudyResult{
 		Artifact:      artifact,
 		Label:         label,
 		BandwidthMBps: a.ReadBandwidthMBps(),
@@ -103,57 +95,34 @@ func runCaseStudy(artifact, label string, setup *trainSetup) (*CaseStudyResult, 
 		Reads:         a.Reads,
 		ZeroReads:     a.ZeroReads,
 		SeqReads:      a.SeqReads,
-		ConsecReads:   a.ConsecReads,
 		FilesAccessed: a.FilesAccessed,
-		BytesReadMB:   float64(a.BytesRead) / 1e6,
 		InputBoundPct: out.history.InputBoundFraction() * 100,
 		WallSec:       out.wallSeconds,
 		ReadHist:      append([]int64(nil), a.ReadSizeHist.Counts...),
-		FileHist:      append([]int64(nil), a.FileSizeHist.Counts...),
 		Pages:         pd.OverviewText() + "\n" + pd.InputPipelineText(),
-	}
-	return res, nil
+	}, nil
 }
 
-// imagenetSetup builds the ImageNet case-study configuration on
-// Kebnekaise: batch 256, prefetch 10, one full epoch profiled.
-func imagenetSetup(c Config, threads int) (*trainSetup, error) {
-	m := c.boot(platform.NewKebnekaise(platform.Options{}))
-	h := registerTfDarshan(m)
-	d, err := workload.BuildImageNet(m.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
+// caseStudy profiles one full epoch of w at the given thread count.
+func caseStudy(c Config, artifact, label string, w *paperWorkload, threads int) (*CaseStudyResult, error) {
+	setup, err := newTrainSetup(c, w, threads, true)
 	if err != nil {
 		return nil, err
 	}
-	steps := len(d.Paths) / 256
-	if steps < 1 {
-		steps = 1
-	}
-	return &trainSetup{
-		machine: m, handle: h, paths: d.Paths, mapFn: workload.ImageNetMap,
-		model: workload.AlexNet(), threads: threads, batch: 256,
-		steps: steps, prefetch: 10, shuffle: c.shuffleSeed(),
-	}, nil
+	return runCaseStudy(artifact, label, setup)
 }
 
 // Fig7a profiles the ImageNet epoch with one preprocessing thread (paper
 // Fig. 7a): ~3 MB/s, opens ≈ files, reads ≈ 2x opens, ~50% zero-length,
 // ~50% neither sequential nor consecutive.
 func Fig7a(c Config) (*CaseStudyResult, error) {
-	setup, err := imagenetSetup(c, 1)
-	if err != nil {
-		return nil, err
-	}
-	return runCaseStudy("fig7a", "ImageNet training, 1 pipeline thread (Kebnekaise/Lustre)", setup)
+	return caseStudy(c, "fig7a", "ImageNet training, 1 pipeline thread (Kebnekaise/Lustre)", imageNet, 1)
 }
 
 // Fig7b repeats with 28 threads (paper Fig. 7b): bandwidth rises to
 // ~24 MB/s, roughly 8x.
 func Fig7b(c Config) (*CaseStudyResult, error) {
-	setup, err := imagenetSetup(c, 28)
-	if err != nil {
-		return nil, err
-	}
-	return runCaseStudy("fig7b", "ImageNet training, 28 pipeline threads (Kebnekaise/Lustre)", setup)
+	return caseStudy(c, "fig7b", "ImageNet training, 28 pipeline threads (Kebnekaise/Lustre)", imageNet, 28)
 }
 
 // TimelineResult is a TraceViewer extract (Figs. 8/10).
@@ -169,9 +138,6 @@ type TimelineResult struct {
 	// ReadFile op's span (Fig. 10's correspondence).
 	Matched int
 }
-
-// ID implements Result.
-func (r *TimelineResult) ID() string { return r.Artifact }
 
 // Render implements Result.
 func (r *TimelineResult) Render() string {
@@ -232,10 +198,16 @@ func analyzeTimelines(space *profiler.XSpace) (files, zeroTerminated, matched in
 	return files, zeroTerminated, matched
 }
 
-// timelineExtract profiles a short window of a case study and renders its
-// timelines.
-func timelineExtract(artifact, label string, setup *trainSetup, steps int) (*TimelineResult, error) {
-	setup.steps = steps
+// timelineExtract profiles the first two steps of a one-thread run of w,
+// at no more than scale 0.05 (an extract, as in the paper), and renders
+// its timelines.
+func timelineExtract(c Config, artifact, label string, w *paperWorkload) (*TimelineResult, error) {
+	c.Scale = min(c.Scale, 0.05)
+	setup, err := newTrainSetup(c, w, 1, true)
+	if err != nil {
+		return nil, err
+	}
+	setup.steps = 2
 	setup.profileAll = true
 	out, err := setup.run()
 	if err != nil {
@@ -258,13 +230,5 @@ func timelineExtract(artifact, label string, setup *trainSetup, steps int) (*Tim
 // Fig8 zooms into the ImageNet POSIX timelines (paper Fig. 8): every file
 // read is followed by a zero-length read.
 func Fig8(c Config) (*TimelineResult, error) {
-	small := c
-	if small.Scale > 0.05 {
-		small.Scale = 0.05 // an extract, as in the paper
-	}
-	setup, err := imagenetSetup(small, 1)
-	if err != nil {
-		return nil, err
-	}
-	return timelineExtract("fig8", "ImageNet TraceViewer extract: zero-length terminating reads", setup, 2)
+	return timelineExtract(c, "fig8", "ImageNet TraceViewer extract: zero-length terminating reads", imageNet)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/dataservice"
@@ -31,14 +32,6 @@ var dataserviceJobRamp = []int{4, 16, 64, 256}
 // dataserviceBaselineJobs is the ramp rung the no-service baseline runs
 // at — the point the speedup/bytes-saved comparison is anchored on.
 const dataserviceBaselineJobs = 16
-
-// dataserviceFleets is the worker-fleet ladder (Config.Ranks pins one).
-func dataserviceFleets(c Config) []int {
-	if c.Ranks > 0 {
-		return []int{c.Ranks}
-	}
-	return []int{2, 4, 8}
-}
 
 // DataServiceRung is one job count of a fleet's ramp.
 type DataServiceRung struct {
@@ -84,20 +77,21 @@ type DataServiceResult struct {
 	Rows []DataServiceRow
 }
 
-// ID implements Result.
-func (r *DataServiceResult) ID() string { return "dataservice" }
+var dataserviceColumns = columns{
+	{"fleet", 5, "%d"}, {"jobs", 5, "%d"}, {"wall(s)", 8, "%.2f"}, {"agg MB/s", 9, "%.1f"}, {"dedup", 7, "%.1fx"},
+	{"pfs%", 6, "%.1f%%"}, {"mds%", 6, "%.1f%%"}, {"cache%", 6, "%.1f%%"}, {"disp%", 6, "%.1f%%"},
+	{" saturates", -11, " %s"},
+}
 
 // Render implements Result.
 func (r *DataServiceResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Disaggregated tf.data service: concurrent-job ramp per worker fleet over shared Lustre\n")
-	fmt.Fprintf(&b, "  %5s %5s %8s %9s %7s %6s %6s %6s %6s  %-10s\n",
-		"fleet", "jobs", "wall(s)", "agg MB/s", "dedup", "pfs%", "mds%", "cache%", "disp%", "saturates")
+	b.WriteString(dataserviceColumns.header())
 	for _, row := range r.Rows {
 		for _, g := range row.Rungs {
-			fmt.Fprintf(&b, "  %5d %5d %8.2f %9.1f %6.1fx %5.1f%% %5.1f%% %5.1f%% %5.1f%%  %-10s\n",
-				row.Fleet, g.Jobs, g.WallSec, g.AggMBps, g.DedupX,
-				g.PFSUtil*100, g.MDSUtil*100, g.CacheUtil*100, g.DispUtil*100, g.Saturated)
+			b.WriteString(dataserviceColumns.row(row.Fleet, g.Jobs, g.WallSec, g.AggMBps, g.DedupX,
+				g.PFSUtil*100, g.MDSUtil*100, g.CacheUtil*100, g.DispUtil*100, g.Saturated))
 		}
 		fmt.Fprintf(&b, "  %5d knee at %d jobs; vs %d independent pipelines: %.2fx faster, %.1f MB of PFS reads saved\n",
 			row.Fleet, row.KneeJobs, dataserviceBaselineJobs, row.SpeedupX, row.BytesSavedMB)
@@ -166,9 +160,17 @@ func dataserviceJobs(c Config, paths []string, jobs int) []dataservice.JobSpec {
 	return specs
 }
 
-// runDataServicePoint serves one (fleet, jobs) rung, with or without the
-// shared cache tier, verifying the exactness and sharing invariants.
-func runDataServicePoint(c Config, fleet, jobs int, shared bool) (DataServiceRung, error) {
+// dataservicePoint is one sweep point: a fleet serving a job count, with
+// or without the shared cache tier.
+type dataservicePoint struct {
+	fleet, jobs int
+	shared      bool
+}
+
+// runDataServicePoint serves one rung, verifying the exactness and
+// sharing invariants.
+func runDataServicePoint(c Config, p dataservicePoint) (DataServiceRung, error) {
+	fleet, jobs, shared := p.fleet, p.jobs, p.shared
 	cluster, d, err := buildDataServiceCluster(c, fleet)
 	if err != nil {
 		return DataServiceRung{}, err
@@ -273,41 +275,32 @@ func kneeJobs(rungs []DataServiceRung) int {
 // Config.Parallel with rows assembled in ladder order (byte-identical to
 // a serial run).
 func DataServiceExperiment(c Config) (*DataServiceResult, error) {
-	fleets := dataserviceFleets(c)
-	perFleet := len(dataserviceJobRamp) + 1 // ramp rungs + no-service baseline
-	rungs := make([]DataServiceRung, len(fleets)*perFleet)
-	err := runIndexed(c.Parallel, len(rungs), func(i int) error {
-		fleet := fleets[i/perFleet]
-		k := i % perFleet
-		var err error
-		if k == len(dataserviceJobRamp) {
-			rungs[i], err = runDataServicePoint(c, fleet, dataserviceBaselineJobs, false)
-		} else {
-			rungs[i], err = runDataServicePoint(c, fleet, dataserviceJobRamp[k], true)
+	fleets := c.ladder(2, 4, 8) // worker-fleet sizes
+	var points []dataservicePoint
+	for _, fleet := range fleets {
+		for _, jobs := range dataserviceJobRamp {
+			points = append(points, dataservicePoint{fleet, jobs, true})
 		}
-		return err
-	})
+		points = append(points, dataservicePoint{fleet, dataserviceBaselineJobs, false})
+	}
+	rungs, err := sweep(c, points, runDataServicePoint)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &DataServiceResult{}
-	for fi, fleet := range fleets {
-		row := DataServiceRow{Fleet: fleet}
-		row.Rungs = rungs[fi*perFleet : fi*perFleet+len(dataserviceJobRamp)]
-		baseline := rungs[fi*perFleet+len(dataserviceJobRamp)]
+	for fr := range slices.Chunk(rungs, len(dataserviceJobRamp)+1) {
+		fleet := fleets[len(res.Rows)]
+		row := DataServiceRow{Fleet: fleet, Rungs: fr[:len(dataserviceJobRamp)]}
+		baseline := fr[len(dataserviceJobRamp)]
 		row.KneeJobs = kneeJobs(row.Rungs)
 
-		var at *DataServiceRung
-		for i := range row.Rungs {
-			if row.Rungs[i].Jobs == dataserviceBaselineJobs {
-				at = &row.Rungs[i]
-			}
-		}
-		if at == nil {
+		i := slices.IndexFunc(row.Rungs, func(g DataServiceRung) bool { return g.Jobs == dataserviceBaselineJobs })
+		if i < 0 {
 			return nil, fmt.Errorf("dataservice: fleet=%d: ramp has no %d-job rung to anchor the baseline",
 				fleet, dataserviceBaselineJobs)
 		}
+		at := &row.Rungs[i]
 		// The service must strictly beat the same jobs run as independent
 		// cold pipelines — on time and on PFS traffic — or disaggregating
 		// the data plane bought nothing.

@@ -44,15 +44,16 @@ type RanksResult struct {
 	Rows []RanksRow
 }
 
-// ID implements Result.
-func (r *RanksResult) ID() string { return "ranks" }
+var ranksColumns = columns{
+	{"ranks", 5, "%d"}, {"epoch(s)", 10, "%.2f"}, {"agg MB/s", 12, "%.2f"}, {"speedup", 10, "%s"},
+	{"straggler%", 12, "%.1f%%"}, {"sync(s)", 10, "%.2f"}, {"steps", 8, "%d"},
+}
 
 // Render implements Result.
 func (r *RanksResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Distributed data-parallel ImageNet on shared Lustre (per-rank Darshan logs, cross-rank merge)\n")
-	fmt.Fprintf(&b, "  %5s %10s %12s %10s %12s %10s %8s\n",
-		"ranks", "epoch(s)", "agg MB/s", "speedup", "straggler%", "sync(s)", "steps")
+	b.WriteString(ranksColumns.header())
 	base := 0.0
 	for _, row := range r.Rows {
 		if row.Ranks == 1 {
@@ -62,9 +63,8 @@ func (r *RanksResult) Render() string {
 		if base > 0 {
 			speedup = fmt.Sprintf("%.2fx", row.AggReadMBps/base)
 		}
-		fmt.Fprintf(&b, "  %5d %10.2f %12.2f %10s %11.1f%% %10.2f %8d\n",
-			row.Ranks, row.EpochSec, row.AggReadMBps, speedup,
-			row.StragglerSpreadPct, row.MeanSyncSec, row.Steps)
+		b.WriteString(ranksColumns.row(row.Ranks, row.EpochSec, row.AggReadMBps, speedup,
+			row.StragglerSpreadPct, row.MeanSyncSec, row.Steps))
 	}
 	return b.String()
 }
@@ -82,15 +82,6 @@ func (r *RanksResult) Metrics() map[string]float64 {
 	return out
 }
 
-// rankSweep resolves the rank counts to run: the -ranks override or the
-// default {1,2,4,8} ladder.
-func (c Config) rankSweep() []int {
-	if c.Ranks > 0 {
-		return []int{c.Ranks}
-	}
-	return append([]int(nil), DefaultRankSweep...)
-}
-
 // buildImageNetCluster boots a fresh Kebnekaise cluster and generates the
 // ImageNet corpus on its shared Lustre mount. Every run and every tuning
 // probe builds its own cluster, so runs stay independent and
@@ -100,8 +91,7 @@ func buildImageNetCluster(c Config, ranks int, dxtStdio bool) (*platform.Cluster
 	cfg := darshan.DefaultConfig()
 	cfg.DXTStdio = dxtStdio
 	cluster := platform.NewKebnekaiseCluster(ranks, platform.Options{PreloadDarshan: true, DarshanConfig: &cfg})
-	spec := workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale)
-	d, err := workload.BuildImageNet(cluster.FS, spec)
+	d, err := imageNet.dataset(cluster.FS, c.Scale)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -120,23 +110,31 @@ func untunedClusterOptions(c Config) distributed.Options {
 	}
 }
 
-// runDistributedImageNet executes the sweep's workload at one rank
-// count: the ImageNet corpus sharded over a Kebnekaise cluster on shared
-// Lustre. It is the shared engine of the ranks table and the distributed
-// artifact producer.
-func runDistributedImageNet(c Config, ranks int) (*distributed.Result, error) {
-	cluster, d, err := buildImageNetCluster(c, ranks, false)
+// runImageNetCluster runs the ImageNet job once on a fresh cluster with
+// the untuned options. prepare, when set, adjusts the cluster (staging
+// plans, fault plans) and the options first; the generated namespace is
+// deterministic, so plans made on one cluster apply to the next. It is
+// the shared engine of the ranks, tune, prefetch and recovery experiments
+// and the distributed artifact producer.
+func runImageNetCluster(c Config, ranks int, dxtStdio bool, prepare func(*platform.Cluster, *distributed.Options) error) (*distributed.Result, error) {
+	cluster, d, err := buildImageNetCluster(c, ranks, dxtStdio)
 	if err != nil {
 		return nil, err
 	}
-	return distributed.Run(cluster, d.Paths, untunedClusterOptions(c))
+	opts := untunedClusterOptions(c)
+	if prepare != nil {
+		if err := prepare(cluster, &opts); err != nil {
+			return nil, err
+		}
+	}
+	return distributed.Run(cluster, d.Paths, opts)
 }
 
 // runRankCount executes one rank count of the sweep and folds the run
 // into a table row, verifying the merge invariant as it goes (a violated
 // reduction fails the experiment rather than mis-reporting bandwidth).
 func runRankCount(c Config, ranks int) (RanksRow, error) {
-	res, err := runDistributedImageNet(c, ranks)
+	res, err := runImageNetCluster(c, ranks, false, nil)
 	if err != nil {
 		return RanksRow{}, err
 	}
@@ -175,7 +173,7 @@ func runRankCount(c Config, ranks int) (RanksRow, error) {
 // RanksExperiment sweeps the rank ladder and reports aggregate bandwidth,
 // per-rank straggler spread and epoch time per rank count.
 func RanksExperiment(c Config) (*RanksResult, error) {
-	rows, err := sweepRanks(c, c.rankSweep(), runRankCount)
+	rows, err := sweep(c, c.ladder(DefaultRankSweep...), runRankCount)
 	if err != nil {
 		return nil, err
 	}

@@ -4,17 +4,24 @@
 // bandwidth validation (Figs. 3/4), the profiling overhead study (Fig. 5),
 // the checkpoint STDIO capture (Fig. 6), the ImageNet and malware case
 // studies with their threading and staging optimizations (Figs. 7–11), and
-// the whole-run disk-activity comparison (Fig. 12).
+// the whole-run disk-activity comparison (Fig. 12). Beyond the paper it
+// runs five cluster experiments: rank scaling (ranks), rank-aware tuning
+// (tune), clairvoyant prefetching (prefetch), rank-death recovery
+// (recovery) and a disaggregated tf.data service (dataservice).
 //
-// Each experiment is a function from Config to a Result that renders the
-// same rows/series the paper reports. Config.Scale shrinks datasets and
-// step counts proportionally so the suite runs at laptop scale in tests
-// (the benchmarks run closer to paper scale).
+// Each experiment is a spec over shared parts (the Table II workload
+// table, the ImageNet cluster run, the point sweep and a table's column
+// declaration) from Config to a Result that renders the rows/series the
+// paper reports; every in-experiment invariant is returned as an error.
+// Config.Scale shrinks datasets and step counts proportionally so the
+// suite runs at laptop scale in tests (the benchmarks run closer to paper
+// scale).
 package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -23,6 +30,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tf/keras"
 	"repro/internal/tf/tfdata"
+	"repro/internal/vfs"
 )
 
 // Config controls experiment scale.
@@ -37,8 +45,9 @@ type Config struct {
 	// mode exists to prove exactly that (see the equivalence test) — but
 	// runs are ~an order of magnitude slower in host time.
 	VerifyContent bool
-	// Ranks pins the distributed scaling experiment to one rank count
-	// (cmd/tfdarshan -ranks); 0 runs the default {1,2,4,8} sweep.
+	// Ranks pins the rank sweeps (ranks, tune, prefetch, recovery) and
+	// the dataservice fleet to one size (cmd/tfdarshan -ranks); 0 runs
+	// each experiment's default ladder.
 	Ranks int
 	// Parallel is the number of simulation kernels run concurrently on
 	// host CPUs (cmd/tfdarshan -parallel): 0 and 1 run serially, negative
@@ -47,13 +56,15 @@ type Config struct {
 	Parallel int
 }
 
-// DefaultConfig runs at paper scale.
-func DefaultConfig() Config { return Config{Scale: 1.0} }
-
-// TestConfig runs the suite at a laptop-test scale.
-func TestConfig() Config { return Config{Scale: 0.02} }
-
 func (c Config) shuffleSeed() int64 { return 20200812 + c.Seed }
+
+// ladder returns a sweep's sizes: the Ranks pin when set, else def.
+func (c Config) ladder(def ...int) []int {
+	if c.Ranks > 0 {
+		return []int{c.Ranks}
+	}
+	return def
+}
 
 // boot applies cross-cutting config to a freshly built machine; every
 // experiment that performs reads routes machine construction through it.
@@ -71,10 +82,9 @@ func (c Config) steps(paper int) int {
 	return s
 }
 
-// Result is a regenerated table or figure.
+// Result is a regenerated table or figure; its artifact id is the
+// registry's Runner.ID.
 type Result interface {
-	// ID is the paper artifact id ("table1", "fig7a", ...).
-	ID() string
 	// Render prints the rows/series the paper reports.
 	Render() string
 	// Metrics returns the headline numbers for benchmark reporting.
@@ -158,17 +168,47 @@ type trainOutcome struct {
 	wallSeconds float64
 }
 
+// newTrainSetup boots a fresh machine for w, generates its dataset and
+// configures one shuffled pass at the given pipeline parallelism: a full
+// epoch for the training workloads, the paper step count for STREAM. tfd
+// registers tf-Darshan with the machine's profiler.
+func newTrainSetup(c Config, w *paperWorkload, threads int, tfd bool) (*trainSetup, error) {
+	m := c.boot(w.boot(platform.Options{}))
+	var h *core.Handle
+	if tfd {
+		h = registerTfDarshan(m)
+	}
+	d, err := w.dataset(m.FS, c.Scale)
+	if err != nil {
+		return nil, err
+	}
+	s := &trainSetup{
+		machine: m, handle: h, paths: d.Paths, mapFn: w.mapFn, threads: threads,
+		batch: w.batch, steps: c.steps(w.steps), prefetch: w.prefetch, shuffle: c.shuffleSeed(),
+	}
+	if w.model != nil {
+		s.model = w.model()
+		s.steps = max(1, len(d.Paths)/w.batch)
+	}
+	return s, nil
+}
+
 // registerTfDarshan wires tf-Darshan into a machine's profiler.
 func registerTfDarshan(m *platform.Machine) *core.Handle {
 	cfg := core.DefaultTracerConfig()
-	cfg.SizeOf = func(p string) (int64, bool) {
-		ino, ok := m.FS.Lookup(p)
+	cfg.SizeOf = fileSizes(m.FS)
+	return core.Register(m.Env, cfg)
+}
+
+// fileSizes resolves a path's file size on fs.
+func fileSizes(fs *vfs.FS) func(string) (int64, bool) {
+	return func(p string) (int64, bool) {
+		ino, ok := fs.Lookup(p)
 		if !ok {
 			return 0, false
 		}
 		return ino.Size, true
 	}
-	return core.Register(m.Env, cfg)
 }
 
 // run executes the setup to completion and returns the outcome.
@@ -281,6 +321,36 @@ func (ts *trainSetup) runManual(t *sim.Thread, it *tfdata.Iterator) (*keras.Hist
 	return h, nil
 }
 
+// columns declares a rendered table's columns once for both its header
+// and its rows: each column's header, width (negative: left-aligned) and
+// cell format, which may take several values.
+type columns []struct {
+	head  string
+	width int
+	cell  string
+}
+
+// header renders the header line.
+func (cs columns) header() string {
+	var b strings.Builder
+	for _, c := range cs {
+		fmt.Fprintf(&b, " %*s", c.width, c.head)
+	}
+	return " " + b.String() + "\n"
+}
+
+// row renders one line, handing each cell as many values as its format
+// has verbs.
+func (cs columns) row(vals ...any) string {
+	var b strings.Builder
+	for _, c := range cs {
+		n := strings.Count(c.cell, "%") - 2*strings.Count(c.cell, "%%")
+		fmt.Fprintf(&b, " %*s", c.width, fmt.Sprintf(c.cell, vals[:n]...))
+		vals = vals[n:]
+	}
+	return " " + b.String() + "\n"
+}
+
 // kvTable renders aligned key/value rows.
 func kvTable(rows [][2]string) string {
 	w := 0
@@ -296,20 +366,10 @@ func kvTable(rows [][2]string) string {
 	return b.String()
 }
 
-// sortedKeys returns map keys in stable order.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RenderMetrics prints metrics deterministically.
 func RenderMetrics(m map[string]float64) string {
 	var b strings.Builder
-	for _, k := range sortedKeys(m) {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
 		fmt.Fprintf(&b, "  %-40s %14.4f\n", k, m[k])
 	}
 	return b.String()

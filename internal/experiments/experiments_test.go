@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // paper-vs-measured comparison at full scale.
 
 func TestTable1(t *testing.T) {
-	res, err := Table1(TestConfig())
+	res, err := Table1(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2DatasetShapes(t *testing.T) {
-	res, err := Table2(TestConfig())
+	res, err := Table2(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestFig5OverheadShape(t *testing.T) {
 }
 
 func TestFig6CheckpointCapturedOnSTDIO(t *testing.T) {
-	res, err := Fig6(TestConfig())
+	res, err := Fig6(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestFig6CheckpointCapturedOnSTDIO(t *testing.T) {
 }
 
 func TestFig7ImageNetFindings(t *testing.T) {
-	cfg := TestConfig()
+	cfg := testConfig()
 	a, err := Fig7a(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestFig7ImageNetFindings(t *testing.T) {
 }
 
 func TestFig8ZeroTerminatedTimelines(t *testing.T) {
-	res, err := Fig8(TestConfig())
+	res, err := Fig8(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestFig9MalwareFindings(t *testing.T) {
 }
 
 func TestFig10ReadFileCorrespondence(t *testing.T) {
-	res, err := Fig10(TestConfig())
+	res, err := Fig10(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,4 +343,15 @@ func TestDeterminism(t *testing.T) {
 	if a.BandwidthMBps != b.BandwidthMBps || a.Reads != b.Reads || a.WallSec != b.WallSec {
 		t.Fatalf("non-deterministic: %+v vs %+v", a.Metrics(), b.Metrics())
 	}
+}
+
+// testConfig runs the suite at a laptop-test scale.
+func testConfig() Config { return Config{Scale: 0.02} }
+
+// absErr quantifies dstat/tf-Darshan agreement.
+func absErr(a, b float64) float64 {
+	if b == 0 {
+		return math.Inf(1)
+	}
+	return math.Abs(a-b) / b
 }

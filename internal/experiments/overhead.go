@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/platform"
-	"repro/internal/workload"
 )
 
 // profMode selects the profiling configuration of an overhead run.
@@ -44,23 +44,23 @@ type OverheadResult struct {
 	Rows []OverheadRow
 }
 
-// ID implements Result.
-func (r *OverheadResult) ID() string { return "fig5" }
+var overheadColumns = columns{
+	{"Workload", -18, "%s"}, {"mode", 6, "%s"}, {"baseline(s)", 12, "%.2f"}, {"TF(s)", 12, "%.2f"},
+	{"TF+tfd(s)", 12, "%.2f"}, {"tfd overhead", 12, " TF %+5.2f%% / tfd %+6.2f%%"},
+}
 
 // Render implements Result.
 func (r *OverheadResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Fig 5: training/streaming time change vs no profiler (automatic callback for\n")
 	b.WriteString("use-cases, manual restart-every-5-steps for STREAM)\n")
-	fmt.Fprintf(&b, "  %-18s %6s %12s %12s %12s %12s\n",
-		"Workload", "mode", "baseline(s)", "TF(s)", "TF+tfd(s)", "tfd overhead")
+	b.WriteString(overheadColumns.header())
 	for _, row := range r.Rows {
 		mode := "auto"
 		if row.Manual {
 			mode = "manual"
 		}
-		fmt.Fprintf(&b, "  %-18s %6s %12.2f %12.2f %12.2f  TF %+5.2f%% / tfd %+6.2f%%\n",
-			row.Workload, mode, row.BaselineSec, row.TFSec, row.TFDSec, row.TFPct(), row.TFDPct())
+		b.WriteString(overheadColumns.row(row.Workload, mode, row.BaselineSec, row.TFSec, row.TFDSec, row.TFPct(), row.TFDPct()))
 	}
 	return b.String()
 }
@@ -75,143 +75,79 @@ func (r *OverheadResult) Metrics() map[string]float64 {
 	return m
 }
 
-// overheadWorkload describes one Fig. 5 bar group.
-type overheadWorkload struct {
-	name  string
-	build func(c Config, mode profMode) (*trainSetup, error)
+// overheadWorkloads are Fig. 5's bar groups in paper order, under the
+// figure's names for them.
+var overheadWorkloads = []struct {
+	name string
+	w    *paperWorkload
+}{{"ImageNet", imageNet}, {"Malware", kaggleMalware}, {"STREAM(ImageNet)", streamImageNet}, {"STREAM(Malware)", streamMalware}}
+
+// overheadModes are each bar group's three bars.
+var overheadModes = []profMode{modeNone, modeTF, modeTFD}
+
+// overheadCell is one bar: a workload under one profiling mode.
+type overheadCell struct {
+	w    *paperWorkload
+	mode profMode
 }
 
-func overheadWorkloads(c Config) []overheadWorkload {
-	return []overheadWorkload{
-		{"ImageNet", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewKebnekaise(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildImageNet(m.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			return &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.ImageNetMap,
-				model: workload.AlexNet(), threads: 1, batch: 128,
-				steps: overheadSteps(len(d.Paths), 128), prefetch: 10,
-				shuffle: c.shuffleSeed(), profileAll: mode != modeNone,
-			}, nil
-		}},
-		{"Malware", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewGreendog(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildMalware(m.FS, workload.MalwareSpec(platform.GreendogHDDPath+"/malware", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			return &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.MalwareMap,
-				model: workload.MalwareCNN(), threads: 1, batch: 128,
-				steps: overheadSteps(len(d.Paths), 128), prefetch: 10,
-				shuffle: c.shuffleSeed(), profileAll: mode != modeNone,
-			}, nil
-		}},
-		{"STREAM(ImageNet)", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewGreendog(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildStreamImageNet(m.FS, workload.StreamImageNetSpec(platform.GreendogHDDPath+"/stream-in", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			ts := &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.StreamMap,
-				threads: 16, batch: 128, steps: c.steps(100), prefetch: 10,
-				shuffle: c.shuffleSeed(),
-			}
-			if mode != modeNone {
-				ts.manualEvery = 5
-			}
-			return ts, nil
-		}},
-		{"STREAM(Malware)", func(c Config, mode profMode) (*trainSetup, error) {
-			m := c.boot(platform.NewGreendog(platform.Options{}))
-			setupMode(m, mode)
-			d, err := workload.BuildStreamMalware(m.FS, workload.StreamMalwareSpec(platform.GreendogHDDPath+"/stream-mw", c.Scale))
-			if err != nil {
-				return nil, err
-			}
-			ts := &trainSetup{
-				machine: m, paths: d.Paths, mapFn: workload.StreamMap,
-				threads: 16, batch: 128, steps: c.steps(50), prefetch: 10,
-				shuffle: c.shuffleSeed(),
-			}
-			if mode != modeNone {
-				ts.manualEvery = 5
-			}
-			return ts, nil
-		}},
+// runOverheadCell runs one bar and returns its virtual wall time. The
+// use-cases train 10 steps of batch 128 under the automatic TensorBoard
+// callback; STREAM keeps its Table II steps and profiles manually,
+// restarted every five steps. tf-Darshan is registered in modeTFD only
+// (the TF profiler's host tracer is always present once any profiling
+// starts; modeNone opens no session at all).
+func runOverheadCell(c Config, cell overheadCell) (float64, error) {
+	setup, err := newTrainSetup(c, cell.w, cell.w.threads[0], cell.mode == modeTFD)
+	if err != nil {
+		return 0, err
 	}
+	setup.batch = 128
+	switch {
+	case cell.w.model != nil:
+		setup.steps = overheadSteps(len(setup.paths), 128)
+		setup.profileAll = cell.mode != modeNone
+	case cell.mode != modeNone:
+		setup.manualEvery = 5
+	}
+	out, err := setup.run()
+	if err != nil {
+		return 0, fmt.Errorf("fig5 %s mode %d: %w", cell.w.name, cell.mode, err)
+	}
+	return out.wallSeconds, nil
 }
 
 // overheadSteps matches the paper's 10-step overhead runs, capped by the
 // scaled dataset size.
 func overheadSteps(files, batch int) int {
-	steps := 10
-	if max := files / batch; max < steps && max >= 1 {
-		steps = max
+	if n := files / batch; n >= 1 {
+		return min(n, 10)
 	}
-	if steps < 1 {
-		steps = 1
-	}
-	return steps
-}
-
-// setupMode registers tf-Darshan only in TFD mode (the TF profiler's host
-// tracer is always present once any profiling starts; no profiling at all
-// happens in modeNone because nothing opens a session).
-func setupMode(m *platform.Machine, mode profMode) {
-	if mode == modeTFD {
-		registerTfDarshan(m)
-	}
+	return 10
 }
 
 // Fig5 quantifies profiling overhead for the four workloads under the
-// three configurations (paper Fig. 5): batch 128, 10 steps for the two
-// use-cases with the automatic TensorBoard callback; the STREAM workloads
-// use the manual method restarted every five steps. All workload×mode
-// cells are independent machines, so they run concurrently under
-// Config.Parallel and fold into rows by index.
+// three configurations (paper Fig. 5). All workload×mode cells are
+// independent machines, so they sweep concurrently under Config.Parallel.
 func Fig5(c Config) (*OverheadResult, error) {
-	workloads := overheadWorkloads(c)
-	modes := []profMode{modeNone, modeTF, modeTFD}
-	rows := make([]OverheadRow, len(workloads))
-	for i, w := range workloads {
-		rows[i].Workload = w.name
-		// STREAM rows profile manually (restart-every-5); use-case rows
-		// use the automatic callback. Set once here — the per-cell jobs
-		// below run concurrently and must not share field writes.
-		rows[i].Manual = strings.HasPrefix(w.name, "STREAM")
+	var cells []overheadCell
+	for _, o := range overheadWorkloads {
+		for _, mode := range overheadModes {
+			cells = append(cells, overheadCell{o.w, mode})
+		}
 	}
-	err := runIndexed(c.Parallel, len(workloads)*len(modes), func(i int) error {
-		w, mode := workloads[i/len(modes)], modes[i%len(modes)]
-		setup, err := w.build(c, mode)
-		if err != nil {
-			return err
-		}
-		row := &rows[i/len(modes)]
-		out, err := setup.run()
-		if err != nil {
-			return fmt.Errorf("fig5 %s mode %d: %w", w.name, mode, err)
-		}
-		switch mode {
-		case modeNone:
-			row.BaselineSec = out.wallSeconds
-		case modeTF:
-			row.TFSec = out.wallSeconds
-		case modeTFD:
-			row.TFDSec = out.wallSeconds
-		}
-		return nil
-	})
+	walls, err := sweep(c, cells, runOverheadCell)
 	if err != nil {
 		return nil, err
 	}
-	return &OverheadResult{Rows: rows}, nil
+	res := &OverheadResult{}
+	for sec := range slices.Chunk(walls, len(overheadModes)) {
+		o := overheadWorkloads[len(res.Rows)]
+		res.Rows = append(res.Rows, OverheadRow{
+			Workload: o.name, Manual: o.w.model == nil, BaselineSec: sec[0], TFSec: sec[1], TFDSec: sec[2],
+		})
+	}
+	return res, nil
 }
 
 // Fig6 result: checkpoint activity captured on the STDIO layer.
@@ -224,9 +160,6 @@ type CheckpointResult struct {
 	FwritesPerCkp float64
 	Panel         string
 }
-
-// ID implements Result.
-func (r *CheckpointResult) ID() string { return "fig6" }
 
 // Render implements Result.
 func (r *CheckpointResult) Render() string {
@@ -258,24 +191,18 @@ func (r *CheckpointResult) Metrics() map[string]float64 {
 // checkpoint after every step, all checkpoints kept; Darshan's STDIO
 // module captures the ~1,400 fwrite calls (paper Fig. 6).
 func Fig6(c Config) (*CheckpointResult, error) {
-	m := c.boot(platform.NewKebnekaise(platform.Options{}))
-	h := registerTfDarshan(m)
-	d, err := workload.BuildImageNet(m.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
+	setup, err := newTrainSetup(c, imageNet, 2, true)
 	if err != nil {
 		return nil, err
 	}
-	steps := overheadSteps(len(d.Paths), 256)
-	setup := &trainSetup{
-		machine: m, handle: h, paths: d.Paths, mapFn: workload.ImageNetMap,
-		model: workload.AlexNet(), threads: 2, batch: 256, steps: steps,
-		prefetch: 10, shuffle: c.shuffleSeed(), profileAll: true,
-		checkpointEvery: 1, ckptDir: platform.KebnekaiseLustre + "/ckpt",
-	}
+	setup.steps = overheadSteps(len(setup.paths), setup.batch)
+	setup.profileAll = true
+	setup.checkpointEvery, setup.ckptDir = 1, platform.KebnekaiseLustre+"/ckpt"
 	out, err := setup.run()
 	if err != nil {
 		return nil, err
 	}
-	a := h.Last
+	a := setup.handle.Last
 	var panel string
 	if a != nil {
 		panel = "\n[tf-Darshan] STDIO layer\n" + kvTable([][2]string{

@@ -26,31 +26,32 @@ func Parallelism(n int) int {
 	return n
 }
 
-// runIndexed executes n independent jobs with at most `parallel` workers.
-// Job i writes its own result slot, so output order is input order
-// regardless of scheduling; the lowest-index error wins, matching what a
-// serial loop that failed fast would have reported first.
-func runIndexed(parallel, n int, job func(i int) error) error {
-	parallel = Parallelism(parallel)
-	if parallel > n {
-		parallel = n
-	}
-	if parallel <= 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
+// sweep runs run once per point with at most Parallelism(c.Parallel)
+// workers and returns the results in point order, never completion
+// order. Every point builds its own machine or cluster and kernel, so a
+// parallel sweep is byte-identical to a serial one. The lowest-index error
+// wins, matching what a serial loop that failed fast would have reported
+// first.
+func sweep[P, R any](c Config, points []P, run func(Config, P) (R, error)) ([]R, error) {
+	out := make([]R, len(points))
+	workers := min(Parallelism(c.Parallel), len(points))
+	if workers <= 1 {
+		for i, p := range points {
+			var err error
+			if out[i], err = run(c, p); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return out, nil
 	}
-	errs := make([]error, n)
+	errs := make([]error, len(points))
 	next := make(chan int)
-	// failed makes the pool fail fast: once any job errors, in-flight jobs
-	// finish but no further jobs start, matching the serial path's
-	// stop-on-first-error behavior up to the in-flight window.
+	// failed makes the pool fail fast: once any point errors, in-flight
+	// points finish but no further points start, matching the serial
+	// path's stop-on-first-error behavior up to the in-flight window.
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -58,48 +59,32 @@ func runIndexed(parallel, n int, job func(i int) error) error {
 				if failed.Load() {
 					continue
 				}
-				if err := job(i); err != nil {
-					errs[i] = err
+				if out[i], errs[i] = run(c, points[i]); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for i := range points {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// sweepRanks runs point once per rank count under c.Parallel and returns
-// the rows in ladder order. Every sweep point builds its own cluster and
-// kernel, so a parallel sweep is byte-identical to a serial one.
-func sweepRanks[R any](c Config, ranks []int, point func(Config, int) (R, error)) ([]R, error) {
-	rows := make([]R, len(ranks))
-	err := runIndexed(c.Parallel, len(ranks), func(i int) error {
-		var err error
-		rows[i], err = point(c, ranks[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return out, nil
 }
 
 // RunAll executes the runners for the given artifact ids, honouring
 // c.Parallel, and returns results in input order. Unknown ids fail before
-// anything runs. Each runner receives the same Config, so sweeps inside an
-// experiment (ranks, fig5, fig12) parallelize their own points too, all
-// drawing from the same worker budget only in the sense that the host
-// scheduler time-slices them — determinism is unaffected either way.
+// anything runs. Each runner receives the same Config, so the sweeps
+// inside an experiment (fig5, fig12, ranks, tune, prefetch, recovery and
+// dataservice) parallelize their own points too, all drawing from the
+// same worker budget only in the sense that the host scheduler
+// time-slices them — determinism is unaffected either way.
 func RunAll(c Config, ids []string) ([]Result, error) {
 	runners := make([]Runner, len(ids))
 	for i, id := range ids {
@@ -109,19 +94,7 @@ func RunAll(c Config, ids []string) ([]Result, error) {
 		}
 		runners[i] = r
 	}
-	results := make([]Result, len(runners))
-	err := runIndexed(c.Parallel, len(runners), func(i int) error {
-		res, err := runners[i].Run(c)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return sweep(c, runners, func(c Config, r Runner) (Result, error) { return r.Run(c) })
 }
 
 // UnknownArtifactError reports a RunAll id with no registered runner.

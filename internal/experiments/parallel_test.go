@@ -13,8 +13,8 @@ func renderAll(t *testing.T, cfg Config, ids []string) string {
 		t.Fatal(err)
 	}
 	var out string
-	for _, res := range results {
-		out += "== " + res.ID() + " ==\n" + res.Render() + RenderMetrics(res.Metrics())
+	for i, res := range results {
+		out += "== " + ids[i] + " ==\n" + res.Render() + RenderMetrics(res.Metrics())
 	}
 	return out
 }
@@ -88,7 +88,7 @@ func TestRunAllUnknownArtifact(t *testing.T) {
 // force-disabled must render byte-identically — same virtual timestamps,
 // same Darshan counters, same figures.
 func TestSchedulerFastPathEquivalence(t *testing.T) {
-	setupFast, err := imagenetSetup(Config{Scale: 0.02}, 1)
+	setupFast, err := newTrainSetup(Config{Scale: 0.02}, imageNet, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSchedulerFastPathEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setupSlow, err := imagenetSetup(Config{Scale: 0.02}, 1)
+	setupSlow, err := newTrainSetup(Config{Scale: 0.02}, imageNet, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/darshan"
 	"repro/internal/distributed"
+	"repro/internal/platform"
 	"repro/internal/prefetch"
 )
 
@@ -83,21 +84,22 @@ type PrefetchResult struct {
 	Rows []PrefetchRow
 }
 
-// ID implements Result.
-func (r *PrefetchResult) ID() string { return "prefetch" }
+var prefetchColumns = columns{
+	{"ranks", 5, "%d"}, {"cap", 8, "%.0f%%"}, {"cache MB", 9, "%.1f"}, {"cold(s)", 8, "%.2f"},
+	{"staged(s)", 9, "%.2f"}, {"nopeer(s)", 9, "%.2f"}, {"peer(s)", 8, "%.2f"}, {"local%", 7, "%.1f%%"},
+	{"peer%", 6, "%.1f%%"}, {"pfs%", 6, "%.1f%%"}, {"evict", 8, "%d"},
+}
 
 // Render implements Result.
 func (r *PrefetchResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Clairvoyant per-epoch prefetching over node NVMe caches vs cold Lustre and offline staging\n")
-	fmt.Fprintf(&b, "  %5s %8s %9s %8s %9s %9s %8s %7s %6s %6s %8s\n",
-		"ranks", "cap", "cache MB", "cold(s)", "staged(s)", "nopeer(s)", "peer(s)", "local%", "peer%", "pfs%", "evict")
+	b.WriteString(prefetchColumns.header())
 	for _, row := range r.Rows {
 		for _, g := range row.Rungs {
-			fmt.Fprintf(&b, "  %5d %7.0f%% %9.1f %8.2f %9.2f %9.2f %8.2f %6.1f%% %5.1f%% %5.1f%% %8d\n",
-				row.Ranks, g.Frac*100, float64(g.CacheBytes)/1e6,
+			b.WriteString(prefetchColumns.row(row.Ranks, g.Frac*100, float64(g.CacheBytes)/1e6,
 				row.ColdEpochSec, g.StagedEpochSec, g.NoPeerEpochSec, g.PeerEpochSec,
-				g.LocalRate*100, g.PeerRate*100, g.PFSRate*100, g.Evictions)
+				g.LocalRate*100, g.PeerRate*100, g.PFSRate*100, g.Evictions))
 		}
 	}
 	return b.String()
@@ -187,15 +189,6 @@ func capStagingAdvice(adv *core.StagingAdvice, capacity int64, sizeOf func(strin
 	return capped
 }
 
-// prefetchSchedules derives every rank's two-epoch clairvoyant schedule.
-func prefetchSchedules(c Config, paths []string, ranks int) [][]string {
-	schedules := make([][]string, ranks)
-	for r := 0; r < ranks; r++ {
-		schedules[r] = prefetch.Schedule(paths, c.shuffleSeed(), ranks, r, prefetchEpochs)
-	}
-	return schedules
-}
-
 // runPrefetchPoint executes one rank count: the cold profile pass (staging
 // plans come from disjoint single-epoch shards, so the merged-log
 // shared-record exclusion does not gut them), the cold baseline, and per
@@ -211,17 +204,7 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 	if err != nil {
 		return PrefetchRow{}, err
 	}
-	snaps := make([]*darshan.Snapshot, ranks)
-	for r := range prof.PerRank {
-		snaps[r] = prof.PerRank[r].Snapshot
-	}
-	sizeOf := func(p string) (int64, bool) {
-		ino, ok := profCluster.FS.Lookup(p)
-		if !ok {
-			return 0, false
-		}
-		return ino.Size, true
-	}
+	sizeOf := fileSizes(profCluster.FS)
 
 	// The working set the ladder scales: the largest per-rank epoch shard.
 	var shardBytes int64
@@ -240,25 +223,26 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 
 	// The advisor's natural plan at the node tier's full capacity; each
 	// rung truncates it to its quota.
-	fullAdvices := core.AdviseClusterStaging(snaps, core.ClusterStagingOptions{
-		PerNodeCapacity: profCluster.Nodes[0].Optane.Capacity(),
-		Objective:       core.StagingMetadataBound,
-		SizeOf:          sizeOf,
-	})
+	fullAdvices := adviseRankStaging(profCluster, prof)
 
-	schedules := prefetchSchedules(c, d.Paths, ranks)
-	scheduleOpts := func() distributed.Options {
-		o := untunedClusterOptions(c)
-		o.RankPaths = schedules
-		return o
+	// Every rank's two-epoch clairvoyant schedule; the cold and staged
+	// baselines run it explicitly with no prefetcher.
+	schedules := make([][]string, ranks)
+	for r := range schedules {
+		schedules[r] = prefetch.Schedule(d.Paths, c.shuffleSeed(), ranks, r, prefetchEpochs)
+	}
+	runScheduled := func(advices []*core.StagingAdvice) (*distributed.Result, error) {
+		return runImageNetCluster(c, ranks, false, func(cl *platform.Cluster, o *distributed.Options) error {
+			o.RankPaths = schedules
+			if err := applyClusterStaging(cl, advices); err != nil {
+				return fmt.Errorf("prefetch: ranks=%d: %w", ranks, err)
+			}
+			return nil
+		})
 	}
 
 	// Cold baseline: the explicit two-epoch schedules with no cache tier.
-	coldCluster, coldData, err := buildImageNetCluster(c, ranks, false)
-	if err != nil {
-		return PrefetchRow{}, err
-	}
-	cold, err := distributed.Run(coldCluster, coldData.Paths, scheduleOpts())
+	cold, err := runScheduled(nil)
 	if err != nil {
 		return PrefetchRow{}, err
 	}
@@ -268,7 +252,12 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 		ColdEpochSec: cold.WallSeconds / prefetchEpochs,
 	}
 
-	sameBytes := func(res *distributed.Result, variant string) error {
+	// sameBytes passes a variant's run error through and fails a run that
+	// did not read exactly the cold epochs' bytes.
+	sameBytes := func(res *distributed.Result, err error, variant string) error {
+		if err != nil {
+			return err
+		}
 		if got := res.Merged.TotalPosix(darshan.POSIX_BYTES_READ); got != coldBytes {
 			return fmt.Errorf("prefetch: ranks=%d: %s run read %d bytes, cold %d — not the same epochs",
 				ranks, variant, got, coldBytes)
@@ -290,18 +279,8 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 		for r, adv := range fullAdvices {
 			advices[r] = capStagingAdvice(adv, capBytes, sizeOf)
 		}
-		stagedCluster, stagedData, err := buildImageNetCluster(c, ranks, false)
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		if err := applyClusterStaging(stagedCluster, advices); err != nil {
-			return PrefetchRow{}, fmt.Errorf("prefetch: ranks=%d: %w", ranks, err)
-		}
-		staged, err := distributed.Run(stagedCluster, stagedData.Paths, scheduleOpts())
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		if err := sameBytes(staged, "staged"); err != nil {
+		staged, err := runScheduled(advices)
+		if err := sameBytes(staged, err, "staged"); err != nil {
 			return PrefetchRow{}, err
 		}
 		rung.StagedEpochSec = staged.WallSeconds / prefetchEpochs
@@ -320,18 +299,12 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 			}, prefetchEpochs)
 		}
 		noPeer, _, err := runPrefetched(false)
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		if err := sameBytes(noPeer, "prefetch"); err != nil {
+		if err := sameBytes(noPeer, err, "prefetch"); err != nil {
 			return PrefetchRow{}, err
 		}
 		rung.NoPeerEpochSec = noPeer.WallSeconds / prefetchEpochs
 		withPeer, reports, err := runPrefetched(true)
-		if err != nil {
-			return PrefetchRow{}, err
-		}
-		if err := sameBytes(withPeer, "peer-prefetch"); err != nil {
+		if err := sameBytes(withPeer, err, "peer-prefetch"); err != nil {
 			return PrefetchRow{}, err
 		}
 		rung.PeerEpochSec = withPeer.WallSeconds / prefetchEpochs
@@ -368,7 +341,7 @@ func runPrefetchPoint(c Config, ranks int) (PrefetchRow, error) {
 // PrefetchExperiment sweeps the rank ladder and, per rank count, the cache
 // capacity ladder.
 func PrefetchExperiment(c Config) (*PrefetchResult, error) {
-	rows, err := sweepRanks(c, c.rankSweep(), runPrefetchPoint)
+	rows, err := sweep(c, c.ladder(DefaultRankSweep...), runPrefetchPoint)
 	if err != nil {
 		return nil, err
 	}

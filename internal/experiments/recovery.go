@@ -112,22 +112,22 @@ type RecoveryResult struct {
 	Rows []RecoveryRow
 }
 
-// ID implements Result.
-func (r *RecoveryResult) ID() string { return "recovery" }
+var recoveryColumns = columns{
+	{"ranks", 5, "%d"}, {"steps", 6, "%d"}, {"fail@", 6, "%d"}, {"ckpt@", 6, "%d"}, {"cont.", 6, "%d"},
+	{"rung", -6, "%s"}, {"nofail(s)", 10, "%.2f"}, {"rank0(s)", 9, "%.2f"}, {"allranks(s)", 12, "%.2f"},
+	{"elastic(s)", 11, "%.2f"}, {"delta(s)", 9, "%.2f"}, {"faults", 8, "%d"}, {"retries", 8, "%d"},
+}
 
 // Render implements Result.
 func (r *RecoveryResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Recovery from a late-epoch rank death: checkpoint rollback vs elastic continuation under transient faults\n")
-	fmt.Fprintf(&b, "  %5s %6s %6s %6s %6s %-6s %10s %9s %12s %11s %9s %8s %8s\n",
-		"ranks", "steps", "fail@", "ckpt@", "cont.", "rung", "nofail(s)",
-		"rank0(s)", "allranks(s)", "elastic(s)", "delta(s)", "faults", "retries")
+	b.WriteString(recoveryColumns.header())
 	for _, row := range r.Rows {
 		for _, rung := range row.Rungs {
-			fmt.Fprintf(&b, "  %5d %6d %6d %6d %6d %-6s %10.2f %9.2f %12.2f %11.2f %9.2f %8d %8d\n",
-				row.Ranks, row.Steps, row.FailStep, row.CheckpointStep, row.ElasticSteps, rung.Name,
-				row.NoFailEpochSec, rung.Rank0Sec, rung.AllRanksSec, rung.ElasticSec,
-				rung.DeltaSec(), rung.Faults, rung.Retries)
+			b.WriteString(recoveryColumns.row(row.Ranks, row.Steps, row.FailStep, row.CheckpointStep, row.ElasticSteps,
+				rung.Name, row.NoFailEpochSec, rung.Rank0Sec, rung.AllRanksSec, rung.ElasticSec,
+				rung.DeltaSec(), rung.Faults, rung.Retries))
 		}
 	}
 	return b.String()
@@ -166,25 +166,22 @@ func (r *RecoveryResult) Metrics() map[string]float64 {
 // fresh ImageNet cluster with DXT stdio tracing on and the bounded-retry
 // policy armed. A nil fail list is the no-failure baseline.
 func runRecoveryVariant(c Config, ranks int, p recoveryProtocol, every int, fail []distributed.FailureEvent, plan *vfs.FaultPlan) (*distributed.Result, error) {
-	cluster, d, err := buildImageNetCluster(c, ranks, true)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		cluster.FS.InjectFaults(*plan)
-	}
-	opts := untunedClusterOptions(c)
-	opts.Checkpoint = distributed.CheckpointPolicy{Pattern: p.Pattern, EverySteps: every, Dir: recoveryCkptDir}
-	opts.Failures = fail
-	opts.Elastic = p.Elastic
-	opts.Retry = tf.RetryPolicy{
-		MaxRetries:  4,
-		BaseBackoff: 2 * sim.Millisecond,
-		MaxBackoff:  50 * sim.Millisecond,
-		OpTimeout:   sim.Second,
-		Seed:        c.shuffleSeed(),
-	}
-	return distributed.Run(cluster, d.Paths, opts)
+	return runImageNetCluster(c, ranks, true, func(cl *platform.Cluster, opts *distributed.Options) error {
+		if plan != nil {
+			cl.FS.InjectFaults(*plan)
+		}
+		opts.Checkpoint = distributed.CheckpointPolicy{Pattern: p.Pattern, EverySteps: every, Dir: recoveryCkptDir}
+		opts.Failures = fail
+		opts.Elastic = p.Elastic
+		opts.Retry = tf.RetryPolicy{
+			MaxRetries:  4,
+			BaseBackoff: 2 * sim.Millisecond,
+			MaxBackoff:  50 * sim.Millisecond,
+			OpTimeout:   sim.Second,
+			Seed:        c.shuffleSeed(),
+		}
+		return nil
+	})
 }
 
 // ckptTimelineReads counts checkpoint-file reads on the merged DXT
@@ -329,16 +326,11 @@ func checkRecoveryRung(noFail, rank0, all, elastic *distributed.Result, ranks, v
 // runRecoveryRankCount runs the baseline and every protocol x fault rung
 // cell at one rank count.
 func runRecoveryRankCount(c Config, ranks int) (RecoveryRow, error) {
-	// A throwaway cluster provides the (deterministic) corpus path list
-	// the step count is precomputed from.
-	_, d, err := buildImageNetCluster(c, ranks, true)
-	if err != nil {
-		return RecoveryRow{}, err
-	}
-	// tf.data shards round-robin, so the last rank's shard is the shortest
-	// and its full batches are the lockstep step count.
+	// tf.data shards the corpus round-robin, so the last rank's shard is
+	// the shortest and its full batches are the lockstep step count.
 	opts := untunedClusterOptions(c)
-	steps := tfdata.ShardLen(len(d.Paths), ranks, ranks-1) / opts.Batch
+	files := imageNet.spec(imageNet.dir, c.Scale).NumFiles
+	steps := tfdata.ShardLen(files, ranks, ranks-1) / opts.Batch
 	if steps < 4 {
 		return RecoveryRow{}, fmt.Errorf("ranks=%d: %d steps is too short to fail late-epoch (raise -scale)", ranks, steps)
 	}
@@ -408,11 +400,11 @@ func runRecoveryRankCount(c Config, ranks int) (RecoveryRow, error) {
 // RecoveryExperiment sweeps rank counts >= 2 (elastic recovery needs at
 // least one survivor) through every protocol x fault rung cell.
 func RecoveryExperiment(c Config) (*RecoveryResult, error) {
-	ranks := slices.DeleteFunc(c.rankSweep(), func(r int) bool { return r < 2 })
+	ranks := slices.DeleteFunc(c.ladder(2, 4, 8), func(r int) bool { return r < 2 })
 	if len(ranks) == 0 {
 		return nil, fmt.Errorf("recovery: no rank counts >= 2 in the sweep (elastic recovery needs a survivor)")
 	}
-	rows, err := sweepRanks(c, ranks, runRecoveryRankCount)
+	rows, err := sweep(c, ranks, runRecoveryRankCount)
 	if err != nil {
 		return nil, err
 	}

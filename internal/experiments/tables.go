@@ -5,8 +5,59 @@ import (
 	"strings"
 
 	"repro/internal/platform"
+	"repro/internal/tf/keras"
+	"repro/internal/tf/tfdata"
+	"repro/internal/vfs"
 	"repro/internal/workload"
 )
+
+// paperWorkload is one workload of the paper's Table II: the platform it
+// runs on, how its dataset is generated, and the training configuration
+// the paper reports for it. Every single-machine experiment builds its
+// runs from these four entries.
+type paperWorkload struct {
+	name, system string // Table II row name and platform
+	boot         func(platform.Options) *platform.Machine
+	dir          string
+	spec         func(dir string, scale float64) workload.DatasetSpec
+	build        func(*vfs.FS, workload.DatasetSpec) (*workload.Dataset, error)
+	mapFn        tfdata.MapFunc
+	model        func() *keras.Model // nil for STREAM, which trains nothing
+	threads      []int               // the pipeline thread counts the paper runs it with
+	batch        int
+	prefetch     int
+	steps        int // paper step count
+}
+
+// The four Table II workloads (Chien et al. 2018's STREAM subsets, the
+// Kaggle BIG 2015 malware set and ImageNet).
+var (
+	streamImageNet = &paperWorkload{
+		name: "STREAM(ImageNet)", system: "Greendog", boot: platform.NewGreendog, dir: platform.GreendogHDDPath + "/stream-in",
+		spec: workload.StreamImageNetSpec, build: workload.BuildStreamImageNet, mapFn: workload.StreamMap,
+		batch: 128, threads: []int{16}, prefetch: 10, steps: 100,
+	}
+	streamMalware = &paperWorkload{
+		name: "STREAM(Malware)", system: "Greendog", boot: platform.NewGreendog, dir: platform.GreendogHDDPath + "/stream-mw",
+		spec: workload.StreamMalwareSpec, build: workload.BuildStreamMalware, mapFn: workload.StreamMap,
+		batch: 128, threads: []int{16}, prefetch: 10, steps: 50,
+	}
+	kaggleMalware = &paperWorkload{
+		name: "Kaggle BIG 2015", system: "Greendog", boot: platform.NewGreendog, dir: platform.GreendogHDDPath + "/malware",
+		spec: workload.MalwareSpec, build: workload.BuildMalware, mapFn: workload.MalwareMap, model: workload.MalwareCNN,
+		batch: 32, threads: []int{1, 16}, prefetch: 10, steps: 339,
+	}
+	imageNet = &paperWorkload{
+		name: "ImageNet", system: "Kebnekaise", boot: platform.NewKebnekaise, dir: platform.KebnekaiseLustre + "/imagenet",
+		spec: workload.ImageNetSpec, build: workload.BuildImageNet, mapFn: workload.ImageNetMap, model: workload.AlexNet,
+		batch: 256, threads: []int{1, 28}, prefetch: 10, steps: 500,
+	}
+)
+
+// dataset generates w's dataset at the given scale on fs.
+func (w *paperWorkload) dataset(fs *vfs.FS, scale float64) (*workload.Dataset, error) {
+	return w.build(fs, w.spec(w.dir, scale))
+}
 
 // Table1Result is the qualitative Darshan / tf-Darshan comparison
 // (paper Table I), checked against the implementation where checkable.
@@ -16,9 +67,6 @@ type Table1Result struct {
 	// against the built system.
 	VerifiedRows int
 }
-
-// ID implements Result.
-func (r *Table1Result) ID() string { return "table1" }
 
 // Render implements Result.
 func (r *Table1Result) Render() string {
@@ -91,7 +139,7 @@ func Table1(c Config) (*Table1Result, error) {
 type Table2Row struct {
 	Name       string
 	BatchSize  int
-	Steps      string
+	Steps      int
 	Threads    string
 	Prefetch   int
 	NumFiles   int
@@ -106,9 +154,6 @@ type Table2Result struct {
 	Rows  []Table2Row
 }
 
-// ID implements Result.
-func (r *Table2Result) ID() string { return "table2" }
-
 // Render implements Result.
 func (r *Table2Result) Render() string {
 	var b strings.Builder
@@ -116,7 +161,7 @@ func (r *Table2Result) Render() string {
 	fmt.Fprintf(&b, "  %-18s %6s %9s %8s %9s %9s %10s %12s %-10s\n",
 		"Name", "Batch", "Steps", "Threads", "Prefetch", "Files", "Total", "Median", "System")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-18s %6d %9s %8s %9d %9d %9.2fGB %11dK %-10s\n",
+		fmt.Fprintf(&b, "  %-18s %6d %9d %8s %9d %9d %9.2fGB %11dK %-10s\n",
 			row.Name, row.BatchSize, row.Steps, row.Threads, row.Prefetch,
 			row.NumFiles, row.TotalGB, row.MedianSize/1024, row.System)
 	}
@@ -138,36 +183,15 @@ func (r *Table2Result) Metrics() map[string]float64 {
 // realized characteristics next to the paper's configurations.
 func Table2(c Config) (*Table2Result, error) {
 	res := &Table2Result{Scale: c.Scale}
-
-	g := platform.NewGreendog(platform.Options{})
-	streamIN, err := workload.BuildStreamImageNet(g.FS, workload.StreamImageNetSpec(platform.GreendogHDDPath+"/stream-in", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-	streamMW, err := workload.BuildStreamMalware(g.FS, workload.StreamMalwareSpec(platform.GreendogHDDPath+"/stream-mw", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-	mw, err := workload.BuildMalware(g.FS, workload.MalwareSpec(platform.GreendogHDDPath+"/malware", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-	k := platform.NewKebnekaise(platform.Options{})
-	in, err := workload.BuildImageNet(k.FS, workload.ImageNetSpec(platform.KebnekaiseLustre+"/imagenet", c.Scale))
-	if err != nil {
-		return nil, err
-	}
-
-	gb := func(d *workload.Dataset) float64 { return float64(d.Total()) / float64(1<<30) }
-	res.Rows = []Table2Row{
-		{"STREAM(ImageNet)", 128, fmt.Sprint(c.steps(100)), "16", 10,
-			len(streamIN.Paths), gb(streamIN), streamIN.Median(), "Greendog"},
-		{"STREAM(Malware)", 128, fmt.Sprint(c.steps(50)), "16", 10,
-			len(streamMW.Paths), gb(streamMW), streamMW.Median(), "Greendog"},
-		{"Kaggle BIG 2015", 32, fmt.Sprint(c.steps(339)), "1, 16", 10,
-			len(mw.Paths), gb(mw), mw.Median(), "Greendog"},
-		{"ImageNet", 256, fmt.Sprint(c.steps(500)), "1, 28", 10,
-			len(in.Paths), gb(in), in.Median(), "Kebnekaise"},
+	for _, w := range []*paperWorkload{streamImageNet, streamMalware, kaggleMalware, imageNet} {
+		d, err := w.dataset(w.boot(platform.Options{}).FS, c.Scale)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, Table2Row{
+			w.name, w.batch, c.steps(w.steps), strings.ReplaceAll(strings.Trim(fmt.Sprint(w.threads), "[]"), " ", ", "),
+			w.prefetch, len(d.Paths), float64(d.Total()) / float64(1<<30), d.Median(), w.system,
+		})
 	}
 	return res, nil
 }

@@ -70,23 +70,24 @@ type TuneResult struct {
 	Rows []TuneRow
 }
 
-// ID implements Result.
-func (r *TuneResult) ID() string { return "tune" }
+var tuneColumns = columns{
+	{"ranks", 5, "%d"}, {"untuned(s)", 11, "%.2f"}, {"tuned(s)", 9, "%.2f"}, {"speedup", 8, "%.2fx"},
+	{"pfs-threads", 14, "%d(<-%2d)"}, {"knee", 5, "%s"}, {"nvme-threads", 13, "%d"}, {"prefetch", 9, "%d"},
+	{"staged-files", 13, "%d"},
+}
 
 // Render implements Result.
 func (r *TuneResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Rank-aware tuning and per-rank staging over merged logs (untuned baseline: 4 threads/rank, shared Lustre)\n")
-	fmt.Fprintf(&b, "  %5s %11s %9s %8s %14s %5s %13s %9s %13s\n",
-		"ranks", "untuned(s)", "tuned(s)", "speedup", "pfs-threads", "knee", "nvme-threads", "prefetch", "staged-files")
+	b.WriteString(tuneColumns.header())
 	for _, row := range r.Rows {
 		knee := "-"
 		if row.LustreKnee {
 			knee = "yes"
 		}
-		fmt.Fprintf(&b, "  %5d %11.2f %9.2f %7.2fx %8d(<-%2d) %5s %13d %9d %13d\n",
-			row.Ranks, row.UntunedEpochSec, row.TunedEpochSec, row.SpeedupX(),
-			row.LustreThreads, row.LustreGreedy, knee, row.Threads, row.Prefetch, row.StagedFiles)
+		b.WriteString(tuneColumns.row(row.Ranks, row.UntunedEpochSec, row.TunedEpochSec, row.SpeedupX(),
+			row.LustreThreads, row.LustreGreedy, knee, row.Threads, row.Prefetch, row.StagedFiles))
 	}
 	return b.String()
 }
@@ -129,33 +130,15 @@ func applyClusterStaging(cluster *platform.Cluster, advices []*core.StagingAdvic
 	return nil
 }
 
-// runTuneWindow builds a fresh cluster, optionally applies the staging
-// plans (the generated namespace is deterministic, so plans transfer
-// across cluster instances), and runs one distributed window.
-func runTuneWindow(c Config, ranks int, advices []*core.StagingAdvice, shape func(*distributed.Options)) (*distributed.Result, error) {
-	cluster, d, err := buildImageNetCluster(c, ranks, false)
-	if err != nil {
-		return nil, err
-	}
-	if advices != nil {
-		if err := applyClusterStaging(cluster, advices); err != nil {
-			return nil, err
-		}
-	}
-	opts := untunedClusterOptions(c)
-	if shape != nil {
-		shape(&opts)
-	}
-	return distributed.Run(cluster, d.Paths, opts)
-}
-
-// tuneProbe adapts runTuneWindow into the cluster tuner's probe: a short
-// lockstep window summarized from the merged cross-rank profile.
+// tuneProbe adapts runImageNetCluster into the cluster tuner's probe: a
+// short lockstep window, on the staged layout when advices is set,
+// summarized from the merged cross-rank profile.
 func tuneProbe(c Config, ranks int, advices []*core.StagingAdvice) core.ClusterProbeFunc {
 	return func(threads, prefetch int) (core.ClusterObservation, error) {
-		res, err := runTuneWindow(c, ranks, advices, func(o *distributed.Options) {
+		res, err := runImageNetCluster(c, ranks, false, func(cl *platform.Cluster, o *distributed.Options) error {
 			o.Threads, o.Prefetch = threads, prefetch
 			o.ProbeSteps = tuneProbeSteps
+			return applyClusterStaging(cl, advices)
 		})
 		if err != nil {
 			return core.ClusterObservation{}, err
@@ -171,27 +154,27 @@ func tuneProbe(c Config, ranks int, advices []*core.StagingAdvice) core.ClusterP
 	}
 }
 
+// adviseRankStaging derives per-rank staging plans from a run's job-end
+// snapshots: the metadata-bound objective at the node NVMe capacity.
+func adviseRankStaging(cluster *platform.Cluster, res *distributed.Result) []*core.StagingAdvice {
+	snaps := make([]*darshan.Snapshot, len(res.PerRank))
+	for r := range res.PerRank {
+		snaps[r] = res.PerRank[r].Snapshot
+	}
+	return core.AdviseClusterStaging(snaps, core.ClusterStagingOptions{
+		PerNodeCapacity: cluster.Nodes[0].Optane.Capacity(),
+		Objective:       core.StagingMetadataBound,
+		SizeOf:          fileSizes(cluster.FS),
+	})
+}
+
 // adviseTuneStaging derives the per-rank staging plans from the untuned
 // run's job-end snapshots and verifies each plan stages only files of
 // that rank's shard, within the node NVMe capacity. A violated plan fails
 // the experiment rather than silently staging another rank's data.
 func adviseTuneStaging(c Config, ranks int, cluster *platform.Cluster, d *workload.Dataset, res *distributed.Result) ([]*core.StagingAdvice, error) {
-	snaps := make([]*darshan.Snapshot, ranks)
-	for r := range res.PerRank {
-		snaps[r] = res.PerRank[r].Snapshot
-	}
 	capacity := cluster.Nodes[0].Optane.Capacity()
-	advices := core.AdviseClusterStaging(snaps, core.ClusterStagingOptions{
-		PerNodeCapacity: capacity,
-		Objective:       core.StagingMetadataBound,
-		SizeOf: func(p string) (int64, bool) {
-			ino, ok := cluster.FS.Lookup(p)
-			if !ok {
-				return 0, false
-			}
-			return ino.Size, true
-		},
-	})
+	advices := adviseRankStaging(cluster, res)
 	seed := untunedClusterOptions(c).Shuffle
 	for r, adv := range advices {
 		shard := distributed.ShardPaths(d.Paths, seed, ranks, r)
@@ -259,9 +242,10 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 	row.Prefetch = stagedAdv.PrefetchPerRank()
 
 	// Tuned epoch: staged layout, per-rank threads/prefetch.
-	tuned, err := runTuneWindow(c, ranks, advices, func(o *distributed.Options) {
+	tuned, err := runImageNetCluster(c, ranks, false, func(cl *platform.Cluster, o *distributed.Options) error {
 		o.RankThreads = stagedAdv.Threads
 		o.RankPrefetch = stagedAdv.Prefetch
+		return applyClusterStaging(cl, advices)
 	})
 	if err != nil {
 		return TuneRow{}, err
@@ -281,7 +265,7 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 // TuneExperiment sweeps the rank ladder and reports untuned vs tuned
 // epoch time per rank count.
 func TuneExperiment(c Config) (*TuneResult, error) {
-	rows, err := sweepRanks(c, c.rankSweep(), runTunePoint)
+	rows, err := sweep(c, c.ladder(DefaultRankSweep...), runTunePoint)
 	if err != nil {
 		return nil, err
 	}

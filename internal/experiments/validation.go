@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/dstat"
-	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/tensorboard"
-	"repro/internal/workload"
 )
 
 // ValidationResult is the Figs. 3/4 artifact: tf-Darshan's per-window
@@ -26,9 +23,6 @@ type ValidationResult struct {
 	DstatMean float64
 	TfdMean   float64
 }
-
-// ID implements Result.
-func (r *ValidationResult) ID() string { return r.Artifact }
 
 // Render implements Result.
 func (r *ValidationResult) Render() string {
@@ -58,29 +52,16 @@ func (r *ValidationResult) Metrics() map[string]float64 {
 	}
 }
 
-// runValidation executes a STREAM run with manual profiling windows every
-// five steps and dstat sampling in the background.
-func runValidation(artifact string, c Config, buildDataset func(*platform.Machine) ([]string, error), steps int) (*ValidationResult, error) {
-	m := c.boot(platform.NewGreendog(platform.Options{}))
-	h := registerTfDarshan(m)
-	paths, err := buildDataset(m)
+// runValidation executes a STREAM run of w with manual profiling windows
+// every five steps and dstat sampling in the background.
+func runValidation(c Config, artifact string, w *paperWorkload) (*ValidationResult, error) {
+	setup, err := newTrainSetup(c, w, w.threads[0], true)
 	if err != nil {
 		return nil, err
 	}
-	sampler := dstat.New([]storage.Device{m.HDD})
-	setup := &trainSetup{
-		machine:     m,
-		handle:      h,
-		paths:       paths,
-		mapFn:       workload.StreamMap,
-		threads:     16,
-		batch:       128,
-		steps:       steps,
-		prefetch:    10,
-		shuffle:     c.shuffleSeed(),
-		manualEvery: 5,
-		sampler:     sampler,
-	}
+	m, h := setup.machine, setup.handle
+	setup.manualEvery = 5
+	setup.sampler = dstat.New([]storage.Device{m.HDD})
 	out, err := setup.run()
 	if err != nil {
 		return nil, err
@@ -88,7 +69,7 @@ func runValidation(artifact string, c Config, buildDataset func(*platform.Machin
 	ts, bw := h.BandwidthSeries()
 	res := &ValidationResult{
 		Artifact: artifact,
-		DstatHDD: sampler.ReadMBps[m.HDD.Name()],
+		DstatHDD: setup.sampler.ReadMBps[m.HDD.Name()],
 		TfdTimes: ts,
 		TfdMBps:  bw,
 		Windows:  len(h.Sessions),
@@ -131,33 +112,9 @@ func mean(xs []float64) float64 {
 // Fig3 validates tf-Darshan bandwidth on STREAM(ImageNet): batch 128, 16
 // threads, prefetch 10, profiling restarted every five steps, dstat in the
 // background (paper Fig. 3).
-func Fig3(c Config) (*ValidationResult, error) {
-	return runValidation("fig3", c, func(m *platform.Machine) ([]string, error) {
-		d, err := workload.BuildStreamImageNet(m.FS, workload.StreamImageNetSpec(platform.GreendogHDDPath+"/stream-in", c.Scale))
-		if err != nil {
-			return nil, err
-		}
-		return d.Paths, nil
-	}, c.steps(100))
-}
+func Fig3(c Config) (*ValidationResult, error) { return runValidation(c, "fig3", streamImageNet) }
 
 // Fig4 validates on STREAM(Malware): 50 steps (paper Fig. 4). The paper's
 // observation that this bandwidth is roughly 10x the ImageNet STREAM's is
 // checked by the benchmark harness.
-func Fig4(c Config) (*ValidationResult, error) {
-	return runValidation("fig4", c, func(m *platform.Machine) ([]string, error) {
-		d, err := workload.BuildStreamMalware(m.FS, workload.StreamMalwareSpec(platform.GreendogHDDPath+"/stream-mw", c.Scale))
-		if err != nil {
-			return nil, err
-		}
-		return d.Paths, nil
-	}, c.steps(50))
-}
-
-// absErr is used by tests to quantify dstat/tf-Darshan agreement.
-func absErr(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(a-b) / b
-}
+func Fig4(c Config) (*ValidationResult, error) { return runValidation(c, "fig4", streamMalware) }
