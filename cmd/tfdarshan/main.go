@@ -15,13 +15,17 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/vfs"
 )
 
 func main() {
@@ -30,34 +34,21 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	scale := fs.Float64("scale", 1.0, "dataset/step scale factor (1.0 = paper scale)")
-	seed := fs.Int64("seed", 0, "shuffle seed perturbation")
-	verify := fs.Bool("verify", false, "materialize and checksum all read content (slow; validates the zero-materialization fast path)")
-	ranks := fs.Int("ranks", 0, "pin the rank sweeps (ranks, tune, prefetch, recovery) and the dataservice fleet to one size (0 = sweep 1,2,4,8)")
-	parallel := fs.Int("parallel", 1, "simulation kernels to run concurrently on host CPUs (0 = one per core; results are byte-identical at any setting)")
-	outDir := fs.String("out", ".", "artifact output directory")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	cfg, outDir, args, err := parseArgs(cmd, os.Args[2:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	if *ranks < 0 {
-		fmt.Fprintf(os.Stderr, "invalid -ranks %d\n", *ranks)
+	if err != nil {
 		os.Exit(2)
-	}
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, VerifyContent: *verify, Ranks: *ranks}
-	if *parallel == 0 {
-		cfg.Parallel = -1 // one worker per core
-	} else {
-		cfg.Parallel = *parallel
 	}
 
 	switch cmd {
 	case "artifacts":
-		if fs.NArg() != 1 {
+		if len(args) != 1 {
 			usage()
 			os.Exit(2)
 		}
-		if err := writeArtifacts(cfg, fs.Arg(0), *outDir); err != nil {
+		if err := writeArtifacts(cfg, args[0], outDir); err != nil {
 			fmt.Fprintf(os.Stderr, "artifacts: %v\n", err)
 			os.Exit(1)
 		}
@@ -66,7 +57,7 @@ func main() {
 			fmt.Printf("  %-8s %s\n", r.ID, r.Description)
 		}
 	case "run", "metrics":
-		ids := fs.Args()
+		ids := args
 		if len(ids) == 1 && ids[0] == "all" {
 			ids = nil
 			for _, r := range experiments.All() {
@@ -124,6 +115,41 @@ func main() {
 	}
 }
 
+// parseArgs parses a subcommand's flags into the experiment config, the
+// artifact output directory and the positional arguments. It rejects
+// values no experiment can run: a -ranks beyond the compute nodes one
+// file system can back, and a -scale that is not a finite number > 0.
+// Parse and validation errors are reported on out.
+func parseArgs(cmd string, argv []string, out io.Writer) (experiments.Config, string, []string, error) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(out)
+	scale := fs.Float64("scale", 1.0, "dataset/step scale factor (1.0 = paper scale)")
+	seed := fs.Int64("seed", 0, "shuffle seed perturbation")
+	verify := fs.Bool("verify", false, "materialize and checksum all read content (slow; validates the zero-materialization fast path)")
+	ranks := fs.Int("ranks", 0, "pin the rank sweeps (ranks, tune, prefetch, recovery) and the dataservice fleet to one size (0 = each experiment's ladder: 1,2,4,8 ranks; 2,4,8 for recovery and dataservice)")
+	parallel := fs.Int("parallel", 1, "simulation kernels to run concurrently on host CPUs (0 = one per core; results are byte-identical at any setting)")
+	outDir := fs.String("out", ".", "artifact output directory")
+	if err := fs.Parse(argv); err != nil {
+		return experiments.Config{}, "", nil, err
+	}
+	var err error
+	switch {
+	case *ranks < 0 || *ranks > vfs.MaxNodes:
+		err = fmt.Errorf("invalid -ranks %d: want 0 (sweep) up to %d", *ranks, vfs.MaxNodes)
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		err = fmt.Errorf("invalid -scale %v: want a finite number > 0", *scale)
+	}
+	if err != nil {
+		fmt.Fprintf(out, "%s: %v\n", cmd, err)
+		return experiments.Config{}, "", nil, err
+	}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, VerifyContent: *verify, Ranks: *ranks, Parallel: *parallel}
+	if *parallel == 0 {
+		cfg.Parallel = -1 // one worker per core
+	}
+	return cfg, *outDir, fs.Args(), nil
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   tfdarshan list
@@ -168,9 +194,17 @@ same jobs run as independent cold pipelines; -ranks pins the fleet size
 and writes the merged darshan.log (nprocs > 1, rank -1 shared records,
 rank-attributed DXT timeline) plus one darshan-rank<r>.log per rank
 
--parallel runs independent artifacts (and sweep points inside ranks, fig5
-and fig12) concurrently on host CPUs; 0 uses one worker per core. Outputs
-are byte-identical to a serial run — kernels share nothing.`)
+-ranks pins the rank sweeps (ranks, tune, prefetch, recovery) and the
+dataservice fleet to one size, at most 64 (the compute nodes one file
+system backs); 0 runs each experiment's ladder: 1,2,4,8 ranks for ranks,
+tune and prefetch, 2,4,8 for recovery and the dataservice fleets
+
+-scale must be a finite number > 0 (1.0 = paper scale)
+
+-parallel runs independent artifacts (and the sweep points inside fig5,
+fig12, ranks, tune, prefetch, recovery and dataservice) concurrently on
+host CPUs; 0 uses one worker per core. Outputs are byte-identical to a
+serial run — kernels share nothing.`)
 }
 
 // writeArtifacts runs a profiled case study and writes the Darshan log,
