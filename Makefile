@@ -22,8 +22,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# bench runs every root benchmark once: the ablations and one
+# BenchmarkArtifact/<id> sub-benchmark per registered artifact.
 bench:
-	TFDARSHAN_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
+	TFDARSHAN_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' -bench 'BenchmarkArtifact|BenchmarkAblation' -benchtime 1x -benchmem .
 
 # bench-json runs the benchmark suite once per artifact and emits the
 # machine-readable perf snapshot (per-artifact ns/op, allocs/op, headline

@@ -108,6 +108,17 @@ func TestParseBenchLine(t *testing.T) {
 			ok: true,
 		},
 		{
+			// Artifacts are sub-benchmarks of BenchmarkArtifact: the name
+			// keeps the registry id after the slash.
+			name: "artifact sub-benchmark line",
+			line: "BenchmarkArtifact/fig7a-2   1   17434124 ns/op   3.256 bandwidth_MBps   0.5000 zero_read_frac",
+			want: Benchmark{
+				Name: "Artifact/fig7a", Iterations: 1, NsPerOp: 17434124,
+				Metrics: map[string]float64{"bandwidth_MBps": 3.256, "zero_read_frac": 0.5},
+			},
+			ok: true,
+		},
+		{
 			name: "serial procs suffix absent",
 			line: "BenchmarkRanksScaling   2   1000 ns/op",
 			want: Benchmark{Name: "RanksScaling", Iterations: 2, NsPerOp: 1000},
