@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tfdarshan list
-//	tfdarshan run [-scale f] <id>...       (ids: table1 table2 fig3 ... fig12, or "all")
+//	tfdarshan run [-scale f] <id>...       (ids: see tfdarshan list, or "all")
 //	tfdarshan metrics [-scale f] <id>...   (metrics only, no figure body)
 //	tfdarshan artifacts [-scale f] [-out dir] <imagenet|malware|distributed>
 //	    writes darshan.log, trace.json.gz and profile.pb from a profiled
