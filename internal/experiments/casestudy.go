@@ -38,19 +38,11 @@ func (r *CaseStudyResult) Render() string {
 
 // ZeroReadFraction returns zero-length reads over all reads.
 func (r *CaseStudyResult) ZeroReadFraction() float64 {
-	if r.Reads == 0 {
-		return 0
-	}
-	return float64(r.ZeroReads) / float64(r.Reads)
+	return ratio(float64(r.ZeroReads), float64(r.Reads))
 }
 
 // SeqFraction returns sequential reads over all reads.
-func (r *CaseStudyResult) SeqFraction() float64 {
-	if r.Reads == 0 {
-		return 0
-	}
-	return float64(r.SeqReads) / float64(r.Reads)
-}
+func (r *CaseStudyResult) SeqFraction() float64 { return ratio(float64(r.SeqReads), float64(r.Reads)) }
 
 // Metrics implements Result.
 func (r *CaseStudyResult) Metrics() map[string]float64 {

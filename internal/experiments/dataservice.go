@@ -224,9 +224,7 @@ func runDataServicePoint(c Config, p dataservicePoint) (DataServiceRung, error) 
 			"dataservice: fleet=%d jobs=%d: shared tier deduplicated nothing (%d of %d cold bytes)",
 			fleet, jobs, rung.PFSBytesRead, rung.ColdBytes)
 	}
-	if rung.PFSBytesRead > 0 {
-		rung.DedupX = float64(rung.ColdBytes) / float64(rung.PFSBytesRead)
-	}
+	rung.DedupX = ratio(float64(rung.ColdBytes), float64(rung.PFSBytesRead))
 	if rung.WallSec > 0 {
 		rung.AggMBps = float64(delivered) / 1e6 / rung.WallSec
 

@@ -152,9 +152,7 @@ func runRankCount(c Config, ranks int) (RanksRow, error) {
 		Steps:           res.Steps,
 		MergedBytesRead: mergedBytes,
 	}
-	if res.WallSeconds > 0 {
-		row.AggReadMBps = float64(mergedBytes) / 1e6 / res.WallSeconds
-	}
+	row.AggReadMBps = ratio(float64(mergedBytes)/1e6, res.WallSeconds)
 	var busy []float64
 	var sync float64
 	for _, r := range res.PerRank {
@@ -164,9 +162,7 @@ func runRankCount(c Config, ranks int) (RanksRow, error) {
 	row.PerRankBusySec = busy
 	row.MeanSyncSec = sync / float64(ranks)
 	s := stats.Summarize(busy)
-	if s.Mean > 0 {
-		row.StragglerSpreadPct = (s.Max - s.Min) / s.Mean * 100
-	}
+	row.StragglerSpreadPct = ratio(s.Max-s.Min, s.Mean) * 100
 	return row, nil
 }
 

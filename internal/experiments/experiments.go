@@ -58,6 +58,14 @@ type Config struct {
 
 func (c Config) shuffleSeed() int64 { return 20200812 + c.Seed }
 
+// ratio returns a/b, or 0 when nothing was measured (b <= 0).
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
+}
+
 // ladder returns a sweep's sizes: the Ranks pin when set, else def.
 func (c Config) ladder(def ...int) []int {
 	if c.Ranks > 0 {

@@ -32,12 +32,8 @@ func (r *OverheadRow) TFPct() float64 { return pct(r.TFSec, r.BaselineSec) }
 // TFDPct returns the TF-profiler + tf-Darshan overhead percentage.
 func (r *OverheadRow) TFDPct() float64 { return pct(r.TFDSec, r.BaselineSec) }
 
-func pct(t, base float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (t - base) / base * 100
-}
+// pct returns t's change over base in percent.
+func pct(t, base float64) float64 { return ratio(t-base, base) * 100 }
 
 // OverheadResult is the Fig. 5 artifact.
 type OverheadResult struct {
@@ -221,8 +217,6 @@ func Fig6(c Config) (*CheckpointResult, error) {
 		res.StdioMB = float64(a.StdioBytesWritten) / 1e6
 		res.PosixWrites = a.Writes
 	}
-	if res.Checkpoints > 0 {
-		res.FwritesPerCkp = float64(res.StdioFwrites) / float64(res.Checkpoints)
-	}
+	res.FwritesPerCkp = ratio(float64(res.StdioFwrites), float64(res.Checkpoints))
 	return res, nil
 }

@@ -27,31 +27,21 @@ func Parallelism(n int) int {
 }
 
 // sweep runs run once per point with at most Parallelism(c.Parallel)
-// workers and returns the results in point order, never completion
-// order. Every point builds its own machine or cluster and kernel, so a
-// parallel sweep is byte-identical to a serial one. The lowest-index error
-// wins, matching what a serial loop that failed fast would have reported
-// first.
+// workers (one worker is a serial run) and returns the results in point
+// order, never completion order. Every point builds its own machine or
+// cluster and kernel, so a parallel sweep is byte-identical to a serial
+// one. The lowest-index error wins, matching what a serial loop that
+// failed fast would have reported first.
 func sweep[P, R any](c Config, points []P, run func(Config, P) (R, error)) ([]R, error) {
 	out := make([]R, len(points))
-	workers := min(Parallelism(c.Parallel), len(points))
-	if workers <= 1 {
-		for i, p := range points {
-			var err error
-			if out[i], err = run(c, p); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	errs := make([]error, len(points))
 	next := make(chan int)
 	// failed makes the pool fail fast: once any point errors, in-flight
-	// points finish but no further points start, matching the serial
-	// path's stop-on-first-error behavior up to the in-flight window.
+	// points finish but no further points start, a serial loop's
+	// stop-on-first-error behavior up to the in-flight window.
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(Parallelism(c.Parallel), len(points)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

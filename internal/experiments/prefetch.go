@@ -63,12 +63,7 @@ type PrefetchRung struct {
 }
 
 // SpeedupVsStagingX returns staged/prefetched epoch time at this rung.
-func (r *PrefetchRung) SpeedupVsStagingX() float64 {
-	if r.PeerEpochSec == 0 {
-		return 0
-	}
-	return r.StagedEpochSec / r.PeerEpochSec
-}
+func (r *PrefetchRung) SpeedupVsStagingX() float64 { return ratio(r.StagedEpochSec, r.PeerEpochSec) }
 
 // PrefetchRow is one rank count of the prefetch experiment.
 type PrefetchRow struct {

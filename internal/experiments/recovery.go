@@ -379,9 +379,7 @@ func runRecoveryRankCount(c Config, ranks int) (RecoveryRow, error) {
 			row.CheckpointStep = rf.CheckpointStep
 			row.ElasticSteps = ef.ElasticSteps
 			row.DowntimeSec = rf.RejoinSec - rf.FailSec
-			if rf.RestoreSeconds > 0 {
-				row.RestoreMBps = float64(rf.RestoreBytes) / 1e6 / rf.RestoreSeconds
-			}
+			row.RestoreMBps = ratio(float64(rf.RestoreBytes)/1e6, rf.RestoreSeconds)
 			row.CkptBytesRank0 = ckptBytes(rank0)
 			row.CkptBytesAll = ckptBytes(all)
 		}

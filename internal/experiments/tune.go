@@ -58,12 +58,7 @@ type TuneRow struct {
 }
 
 // SpeedupX returns untuned/tuned epoch time.
-func (r *TuneRow) SpeedupX() float64 {
-	if r.TunedEpochSec == 0 {
-		return 0
-	}
-	return r.UntunedEpochSec / r.TunedEpochSec
-}
+func (r *TuneRow) SpeedupX() float64 { return ratio(r.UntunedEpochSec, r.TunedEpochSec) }
 
 // TuneResult is the rank-aware tuning experiment.
 type TuneResult struct {
@@ -143,14 +138,11 @@ func tuneProbe(c Config, ranks int, advices []*core.StagingAdvice) core.ClusterP
 		if err != nil {
 			return core.ClusterObservation{}, err
 		}
-		obs := core.ClusterObservation{
-			EpochSeconds:    res.WallSeconds,
-			MetaTimeSeconds: res.Merged.TotalPosixF(darshan.POSIX_F_META_TIME),
-		}
-		if res.WallSeconds > 0 {
-			obs.AggBandwidthMBps = float64(res.Merged.TotalPosix(darshan.POSIX_BYTES_READ)) / 1e6 / res.WallSeconds
-		}
-		return obs, nil
+		return core.ClusterObservation{
+			EpochSeconds:     res.WallSeconds,
+			MetaTimeSeconds:  res.Merged.TotalPosixF(darshan.POSIX_F_META_TIME),
+			AggBandwidthMBps: ratio(float64(res.Merged.TotalPosix(darshan.POSIX_BYTES_READ))/1e6, res.WallSeconds),
+		}, nil
 	}
 }
 
@@ -207,9 +199,7 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 	}
 	row := TuneRow{Ranks: ranks, UntunedEpochSec: untuned.WallSeconds}
 	untunedBytes := untuned.Merged.TotalPosix(darshan.POSIX_BYTES_READ)
-	if untuned.WallSeconds > 0 {
-		row.UntunedAggMBps = float64(untunedBytes) / 1e6 / untuned.WallSeconds
-	}
+	row.UntunedAggMBps = ratio(float64(untunedBytes)/1e6, untuned.WallSeconds)
 
 	// Per-rank staging plans from the untuned profile.
 	advices, err := adviseTuneStaging(c, ranks, cluster, d, untuned)
@@ -256,9 +246,7 @@ func runTunePoint(c Config, ranks int) (TuneRow, error) {
 		return TuneRow{}, fmt.Errorf("tune: ranks=%d: tuned run read %d bytes, untuned %d — not the same epoch",
 			ranks, tunedBytes, untunedBytes)
 	}
-	if tuned.WallSeconds > 0 {
-		row.TunedAggMBps = float64(tunedBytes) / 1e6 / tuned.WallSeconds
-	}
+	row.TunedAggMBps = ratio(float64(tunedBytes)/1e6, tuned.WallSeconds)
 	return row, nil
 }
 

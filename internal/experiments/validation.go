@@ -30,15 +30,8 @@ func (r *ValidationResult) Render() string {
 	fmt.Fprintf(&b, "%s: STREAM bandwidth, dstat (blue line) vs tf-Darshan samples (red dots)\n", strings.ToUpper(r.Artifact[:1])+r.Artifact[1:])
 	b.WriteString(tensorboard.BandwidthComparisonText(r.DstatHDD, r.TfdTimes, r.TfdMBps))
 	fmt.Fprintf(&b, "windows=%d wall=%.1fs transferred=%.1fMB dstat mean=%.2fMB/s tf-Darshan mean=%.2fMB/s (ratio %.3f)\n",
-		r.Windows, r.WallSec, r.TotalMB, r.DstatMean, r.TfdMean, r.ratio())
+		r.Windows, r.WallSec, r.TotalMB, r.DstatMean, r.TfdMean, ratio(r.TfdMean, r.DstatMean))
 	return b.String()
-}
-
-func (r *ValidationResult) ratio() float64 {
-	if r.DstatMean == 0 {
-		return 0
-	}
-	return r.TfdMean / r.DstatMean
 }
 
 // Metrics implements Result.
@@ -46,7 +39,7 @@ func (r *ValidationResult) Metrics() map[string]float64 {
 	return map[string]float64{
 		"dstat_mean_MBps": r.DstatMean,
 		"tfd_mean_MBps":   r.TfdMean,
-		"agreement_ratio": r.ratio(),
+		"agreement_ratio": ratio(r.TfdMean, r.DstatMean),
 		"windows":         float64(r.Windows),
 		"wall_seconds":    r.WallSec,
 	}
