@@ -80,7 +80,7 @@ type DataServiceResult struct {
 var dataserviceColumns = columns{
 	{"fleet", 5, "%d"}, {"jobs", 5, "%d"}, {"wall(s)", 8, "%.2f"}, {"agg MB/s", 9, "%.1f"}, {"dedup", 7, "%.1fx"},
 	{"pfs%", 6, "%.1f%%"}, {"mds%", 6, "%.1f%%"}, {"cache%", 6, "%.1f%%"}, {"disp%", 6, "%.1f%%"},
-	{" saturates", -11, " %s"},
+	{" saturates", -11, " %s"}, // two spaces after disp%
 }
 
 // Render implements Result.

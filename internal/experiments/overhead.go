@@ -101,7 +101,7 @@ func runOverheadCell(c Config, cell overheadCell) (float64, error) {
 	setup.batch = 128
 	switch {
 	case cell.w.model != nil:
-		setup.steps = overheadSteps(len(setup.paths), 128)
+		setup.steps = overheadSteps(len(setup.paths), setup.batch)
 		setup.profileAll = cell.mode != modeNone
 	case cell.mode != modeNone:
 		setup.manualEvery = 5
