@@ -105,7 +105,7 @@ func untunedClusterOptions(c Config) distributed.Options {
 	return distributed.Options{
 		Threads: 4, Batch: 32, Prefetch: 10,
 		Shuffle: c.shuffleSeed(),
-		Model:   workload.AlexNet, MapFn: workload.ImageNetMap,
+		Model:   imageNet.model, MapFn: imageNet.mapFn,
 		VerifyContent: c.VerifyContent,
 	}
 }
