@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 # BENCH_N names the committed perf-trajectory snapshot for this PR series.
 BENCH_OUT ?= BENCH_7.json
 BENCH_SCALE ?= 0.2
@@ -8,11 +9,16 @@ BENCH_SCALE ?= 0.2
 build:
 	$(GO) build ./...
 
-# lint runs simlint (tools/simlint): the five analyzers that machine-check
-# the repo's determinism and kernel-discipline invariants over every
-# production package. Kept separate from `test` so a house-rule violation
-# is distinguishable from a test failure.
+# lint checks formatting (gofmt -l, except the simlint analyzer fixtures
+# under tools/simlint/rules/testdata, which are only parsed by the
+# analyzer tests and are left as written) and runs simlint
+# (tools/simlint): the five analyzers that machine-check the repo's
+# determinism and kernel-discipline invariants over every production
+# package. Kept separate from `test` so a house-rule violation is
+# distinguishable from a test failure.
 lint:
+	@unformatted=$$($(GOFMT) -l . | grep -v '^tools/simlint/rules/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./tools/simlint ./...
 
 test:

@@ -1,6 +1,10 @@
 // Command traceviewer renders profiling artifacts as text — a terminal
 // stand-in for TensorBoard's TraceViewer (the Figs. 8/10 views).
 //
+// Usage:
+//
+//	traceviewer [-limit n] [-cols n] <trace.json.gz | darshan.log>
+//
 // Two input formats, told apart by their magic bytes:
 //
 //   - trace.json.gz: events per process/thread in time order;
@@ -9,8 +13,6 @@
 //     rank's read/write activity over the job, so a failed rank's
 //     downtime gap and the cluster-wide restore read burst that follows
 //     are visible at a glance.
-//
-//	traceviewer [-limit n] [-cols n] <trace.json.gz | darshan.log>
 package main
 
 import (

@@ -19,40 +19,11 @@ import "repro/internal/darshan"
 // capacities. On capacity-constrained tiers the static plan can only
 // stage what fits, which is where the online prefetcher overtakes it.
 
-// StagingObjective selects the threshold-scan scoring of the cluster
-// advisor.
-type StagingObjective int
-
-const (
-	// StagingBytesScarce is the single-process objective of AdviseStaging:
-	// fast-tier bytes are precious (Greendog's one small Optane), so byte
-	// consumption is penalized at byteCostWeight. With this objective a
-	// one-rank cluster gets exactly the AdviseStaging answer.
-	StagingBytesScarce StagingObjective = iota
-	// StagingMetadataBound drops the byte penalty: on a shared parallel
-	// file system every staged file saves an MDS round trip, and the
-	// node-local tier's capacity — the scan's hard feasibility bound — is
-	// the only cost. The advisor stages the most files that fit, which for
-	// a small-file corpus is the rank's whole shard.
-	StagingMetadataBound
-)
-
-// byteWeight maps the objective to the threshold-scan byte penalty.
-func (o StagingObjective) byteWeight() float64 {
-	if o == StagingMetadataBound {
-		return 0
-	}
-	return byteCostWeight
-}
-
 // ClusterStagingOptions configures AdviseClusterStaging.
 type ClusterStagingOptions struct {
 	// PerNodeCapacity is each rank's node-local fast-tier capacity in
 	// bytes (the feasibility bound of the per-rank threshold scan).
 	PerNodeCapacity int64
-	// Objective selects the scoring; the zero value reproduces the
-	// single-process AdviseStaging objective.
-	Objective StagingObjective
 	// SizeOf resolves file sizes (usually the cluster VFS lookup); files
 	// it cannot resolve are never staged, like in Analyze.
 	SizeOf SizeOfFunc
@@ -65,6 +36,12 @@ type ClusterStagingOptions struct {
 // merged log, e.g. a manifest every rank re-reads — are excluded from
 // every rank's advice: a rank stages only the shard it owns exclusively,
 // so the per-rank plans are disjoint by construction.
+//
+// Unlike AdviseStaging, the scan puts no penalty on fast-tier bytes: on a
+// shared parallel file system every staged file saves an MDS round trip,
+// and the node-local tier's capacity — the scan's hard feasibility bound
+// — is the only cost. The advisor stages the most files that fit, which
+// for a small-file corpus is the rank's whole shard.
 func AdviseClusterStaging(perRank []*darshan.Snapshot, opts ClusterStagingOptions) []*StagingAdvice {
 	shared := darshan.SharedRecordIDs(perRank)
 	out := make([]*StagingAdvice, len(perRank))
@@ -83,7 +60,7 @@ func AdviseClusterStaging(perRank []*darshan.Snapshot, opts ClusterStagingOption
 			}
 			stats.PerFile = kept
 		}
-		out[r] = adviseStagingWeighted(stats, opts.PerNodeCapacity, opts.Objective.byteWeight())
+		out[r] = adviseStagingWeighted(stats, opts.PerNodeCapacity, 0)
 	}
 	return out
 }

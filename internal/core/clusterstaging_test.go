@@ -40,7 +40,6 @@ func TestAdviseClusterStagingStagesOnlyTheRanksOwnShard(t *testing.T) {
 	snapB := rankSnapshot(2.0, map[uint64]string{3: "/pfs/b0", 4: "/pfs/b1", 9: "/pfs/manifest"})
 	advs := AdviseClusterStaging([]*darshan.Snapshot{snapA, snapB}, ClusterStagingOptions{
 		PerNodeCapacity: 1 << 30,
-		Objective:       StagingMetadataBound,
 		SizeOf:          sizeOfMap(sizes),
 	})
 	if len(advs) != 2 {
@@ -59,39 +58,10 @@ func TestAdviseClusterStagingRespectsPerNodeCapacity(t *testing.T) {
 	snap := rankSnapshot(2.0, map[uint64]string{1: "/pfs/a0", 2: "/pfs/a1"})
 	advs := AdviseClusterStaging([]*darshan.Snapshot{snap}, ClusterStagingOptions{
 		PerNodeCapacity: 100 << 10, // nothing fits
-		Objective:       StagingMetadataBound,
 		SizeOf:          sizeOfMap(sizes),
 	})
 	if advs[0].FileCount != 0 || len(advs[0].Files) != 0 {
 		t.Fatalf("capacity-infeasible plan staged %v", advs[0].Files)
-	}
-}
-
-func TestAdviseClusterStagingRanks1DegeneratesToAdviseStaging(t *testing.T) {
-	// With the single-process objective, a one-rank cluster's advice is
-	// exactly AdviseStaging over the same snapshot-derived session stats
-	// (the malware-like shape: small files worth staging, large ones not).
-	sizes := map[string]int64{
-		"/hdd/s0": 500 << 10, "/hdd/s1": 900 << 10, "/hdd/s2": 1 << 20,
-		"/hdd/l0": 6 << 20, "/hdd/l1": 8 << 20, "/hdd/l2": 7 << 20, "/hdd/l3": 9 << 20,
-	}
-	snap := rankSnapshot(3.0, map[uint64]string{
-		1: "/hdd/s0", 2: "/hdd/s1", 3: "/hdd/s2",
-		4: "/hdd/l0", 5: "/hdd/l1", 6: "/hdd/l2", 7: "/hdd/l3",
-	})
-	capacity := int64(280 << 30)
-	sizeOf := sizeOfMap(sizes)
-	got := AdviseClusterStaging([]*darshan.Snapshot{snap}, ClusterStagingOptions{
-		PerNodeCapacity: capacity,
-		Objective:       StagingBytesScarce,
-		SizeOf:          sizeOf,
-	})
-	want := AdviseStaging(AnalyzeSnapshot(snap, sizeOf), capacity)
-	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("ranks=1 cluster advice %+v differs from AdviseStaging %+v", got[0], want)
-	}
-	if want.FileCount == 0 {
-		t.Fatal("degenerate check vacuous: single-process advisor staged nothing")
 	}
 }
 

@@ -68,9 +68,9 @@ func AdviseStaging(s *SessionStats, fastCapacity int64) *StagingAdvice {
 
 // adviseStagingWeighted is the shared threshold scan behind the single-
 // process advisor (byteWeight = byteCostWeight, fast-tier bytes scarce)
-// and the cluster advisor's metadata-bound objective (byteWeight = 0,
-// node-local capacity roomy: every staged file saves a shared MDS RPC, so
-// the best feasible threshold is the one staging the most files).
+// and the cluster advisor (byteWeight = 0, node-local capacity roomy:
+// every staged file saves a shared MDS RPC, so the best feasible
+// threshold is the one staging the most files).
 func adviseStagingWeighted(s *SessionStats, fastCapacity int64, byteWeight float64) *StagingAdvice {
 	if s == nil || len(s.PerFile) == 0 {
 		return &StagingAdvice{}

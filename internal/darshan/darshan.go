@@ -203,16 +203,6 @@ func (s *Snapshot) PosixByID(id uint64) (PosixRecord, bool) {
 	return PosixRecord{}, false
 }
 
-// StdioByID returns the STDIO record with the given id, if present.
-func (s *Snapshot) StdioByID(id uint64) (StdioRecord, bool) {
-	for i := range s.Stdio {
-		if s.Stdio[i].ID == id {
-			return s.Stdio[i], true
-		}
-	}
-	return StdioRecord{}, false
-}
-
 // accessEntryLess is the explicit ACCESS1..4 ranking order: larger count
 // first, count ties broken by smaller size. Sizes are unique table keys,
 // so the order is total — re-ranking is byte-stable regardless of the map

@@ -9,15 +9,15 @@ import (
 // SonameDarshan is the soname of the instrumentation library.
 const SonameDarshan = "libdarshan.so"
 
-// Exported symbol names of the shared library. The first three are the
-// augmentation the paper adds to stock Darshan ("we implemented several
-// data extraction functions in the Darshan shared library"); the wrapper
-// factory is what the GOT patcher redirects symbols to.
+// Exported symbol names of the shared library. The snapshot and name
+// lookup are the augmentation the paper adds to stock Darshan ("we
+// implemented several data extraction functions in the Darshan shared
+// library"); the wrapper factory is what the GOT patcher redirects symbols
+// to.
 const (
-	SymWrapSymbol   = "darshan_wrap_symbol"
-	SymSnapshot     = "darshan_runtime_snapshot"
-	SymLookupName   = "darshan_lookup_record_name"
-	SymRuntimeState = "darshan_runtime_state"
+	SymWrapSymbol = "darshan_wrap_symbol"
+	SymSnapshot   = "darshan_runtime_snapshot"
+	SymLookupName = "darshan_lookup_record_name"
 )
 
 // Exported function signatures (resolved via Dlsym).
@@ -30,8 +30,6 @@ type (
 	SnapshotFunc func(t *sim.Thread) *Snapshot
 	// LookupNameFunc resolves a record id to a file path.
 	LookupNameFunc func(id uint64) (string, bool)
-	// RuntimeStateFunc exposes the runtime itself (record counts etc.).
-	RuntimeStateFunc func() *Runtime
 )
 
 // WrapperFor returns the instrumented replacement for symbol around real.
@@ -42,24 +40,12 @@ func (rt *Runtime) WrapperFor(symbol string, real any) (any, bool) {
 		return rt.Posix.wrapOpen(real.(libc.OpenFunc)), true
 	case "close":
 		return rt.Posix.wrapClose(real.(libc.CloseFunc)), true
-	case "read":
-		return rt.Posix.wrapRead(real.(libc.ReadFunc)), true
 	case "pread":
 		return rt.Posix.wrapPread(real.(libc.PreadFunc)), true
 	case "pread_discard":
 		return rt.Posix.wrapPreadDiscard(real.(libc.PreadDiscardFunc)), true
-	case "write":
-		return rt.Posix.wrapWrite(real.(libc.WriteFunc)), true
 	case "pwrite":
 		return rt.Posix.wrapPwrite(real.(libc.PwriteFunc)), true
-	case "lseek":
-		return rt.Posix.wrapLseek(real.(libc.LseekFunc)), true
-	case "stat":
-		return rt.Posix.wrapStat(real.(libc.StatFunc)), true
-	case "fsync":
-		return rt.Posix.wrapFsync(real.(libc.FsyncFunc)), true
-	case "unlink":
-		return rt.Posix.wrapUnlink(real.(libc.UnlinkFunc)), true
 	case "fopen":
 		return rt.Stdio.wrapFopen(real.(libc.FopenFunc)), true
 	case "fread":
@@ -68,8 +54,6 @@ func (rt *Runtime) WrapperFor(symbol string, real any) (any, bool) {
 		return rt.Stdio.wrapFreadDiscard(real.(libc.FreadDiscardFunc)), true
 	case "fwrite":
 		return rt.Stdio.wrapFwrite(real.(libc.FwriteFunc)), true
-	case "fseek":
-		return rt.Stdio.wrapFseek(real.(libc.FseekFunc)), true
 	case "fflush":
 		return rt.Stdio.wrapFflush(real.(libc.FflushFunc)), true
 	case "fclose":
@@ -85,7 +69,6 @@ func NewSharedLibrary(rt *Runtime) *dynload.Library {
 	lib.Define(SymWrapSymbol, WrapSymbolFunc(rt.WrapperFor))
 	lib.Define(SymSnapshot, SnapshotFunc(rt.Snapshot))
 	lib.Define(SymLookupName, LookupNameFunc(rt.LookupName))
-	lib.Define(SymRuntimeState, RuntimeStateFunc(func() *Runtime { return rt }))
 	return lib
 }
 
@@ -109,6 +92,5 @@ func NewPreloadLibrary(rt *Runtime, base *dynload.Library) *dynload.Library {
 	lib.Define(SymWrapSymbol, WrapSymbolFunc(rt.WrapperFor))
 	lib.Define(SymSnapshot, SnapshotFunc(rt.Snapshot))
 	lib.Define(SymLookupName, LookupNameFunc(rt.LookupName))
-	lib.Define(SymRuntimeState, RuntimeStateFunc(func() *Runtime { return rt }))
 	return lib
 }

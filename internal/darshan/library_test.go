@@ -13,7 +13,7 @@ import (
 func TestSharedLibraryExportsExtractionAPI(t *testing.T) {
 	rt := NewRuntime(DefaultConfig(), 0)
 	lib := NewSharedLibrary(rt)
-	for _, sym := range []string{SymWrapSymbol, SymSnapshot, SymLookupName, SymRuntimeState} {
+	for _, sym := range []string{SymWrapSymbol, SymSnapshot, SymLookupName} {
 		if _, ok := lib.Sym(sym); !ok {
 			t.Fatalf("libdarshan.so missing %q", sym)
 		}
@@ -33,7 +33,7 @@ func TestDlopenDlsymAttachFlow(t *testing.T) {
 	fs.CreateFile("/data/z", 4096)
 
 	proc := dynload.NewProcess()
-	proc.LinkStartup(nil, libc.NewLibrary(fs))
+	proc.LinkStartup(nil, libc.NewLibrary(fs, 0))
 	rt := NewRuntime(DefaultConfig(), k.Now())
 	proc.Install(NewSharedLibrary(rt))
 	calls := libc.Bind(proc)
@@ -86,7 +86,7 @@ func TestPreloadLibraryInstrumentsWholeRun(t *testing.T) {
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	fs.CreateFile("/data/p", 1000)
 
-	base := libc.NewLibrary(fs)
+	base := libc.NewLibrary(fs, 0)
 	rt := NewRuntime(DefaultConfig(), k.Now())
 	pre := NewPreloadLibrary(rt, base)
 	proc := dynload.NewProcess()
@@ -96,7 +96,7 @@ func TestPreloadLibraryInstrumentsWholeRun(t *testing.T) {
 	k.Spawn("app", func(th *sim.Thread) {
 		fd, _ := calls.Open(th, "/data/p", vfs.O_RDONLY)
 		buf := make([]byte, 1000)
-		calls.Read(th, fd, buf)
+		calls.Pread(th, fd, buf, 0)
 		calls.Close(th, fd)
 	})
 	if err := k.Run(); err != nil {

@@ -3,7 +3,6 @@ package darshan
 import (
 	"repro/internal/libc"
 	"repro/internal/sim"
-	"repro/internal/vfs"
 )
 
 // accessEntry is one (size, count) pair of a record's access-size table.
@@ -89,28 +88,20 @@ func (rec *PosixRecord) clearRuntimeState() {
 // Name is resolved through the runtime name registry by callers; records
 // themselves carry only the id, as in Darshan's binary format.
 
-// posixFD is the per-descriptor shadow state (Darshan tracks file offsets
-// itself since the libc offset is invisible to a preloaded wrapper).
-type posixFD struct {
-	rec    *PosixRecord
-	path   string
-	offset int64
-}
-
 // PosixModule instruments the POSIX I/O functions.
 type PosixModule struct {
 	rt        *Runtime
 	records   map[uint64]*PosixRecord
 	order     []uint64
-	fds       map[int]*posixFD
-	Untracked int64 // files beyond the record cap
+	fds       map[int]*PosixRecord // open descriptor -> record (nil past the cap)
+	Untracked int64                // files beyond the record cap
 }
 
 func newPosixModule(rt *Runtime) *PosixModule {
 	return &PosixModule{
 		rt:      rt,
 		records: make(map[uint64]*PosixRecord),
-		fds:     make(map[int]*posixFD),
+		fds:     make(map[int]*PosixRecord),
 	}
 }
 
@@ -278,7 +269,7 @@ func (m *PosixModule) wrapOpen(real libc.OpenFunc) libc.OpenFunc {
 			if rec != nil {
 				m.recordOpen(rec, start, end)
 			}
-			m.fds[fd] = &posixFD{rec: rec, path: path}
+			m.fds[fd] = rec
 		})
 		return fd, err
 	}
@@ -290,36 +281,14 @@ func (m *PosixModule) wrapClose(real libc.CloseFunc) libc.CloseFunc {
 		err := real(t, fd)
 		end := m.rt.rel(t.Now())
 		m.rt.instrument(t, func() {
-			if st, ok := m.fds[fd]; ok {
-				if st.rec != nil {
-					setFirst(&st.rec.FCounters[POSIX_F_CLOSE_START_TIMESTAMP], start)
-					st.rec.FCounters[POSIX_F_CLOSE_END_TIMESTAMP] = end
-					st.rec.FCounters[POSIX_F_META_TIME] += end - start
-				}
-				delete(m.fds, fd)
+			if rec := m.fds[fd]; rec != nil {
+				setFirst(&rec.FCounters[POSIX_F_CLOSE_START_TIMESTAMP], start)
+				rec.FCounters[POSIX_F_CLOSE_END_TIMESTAMP] = end
+				rec.FCounters[POSIX_F_META_TIME] += end - start
 			}
+			delete(m.fds, fd)
 		})
 		return err
-	}
-}
-
-func (m *PosixModule) wrapRead(real libc.ReadFunc) libc.ReadFunc {
-	return func(t *sim.Thread, fd int, buf []byte) (int, error) {
-		start := m.rt.rel(t.Now())
-		n, err := real(t, fd, buf)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil || n < 0 {
-				return
-			}
-			if st, ok := m.fds[fd]; ok {
-				if st.rec != nil {
-					m.recordRead(t, st.rec, st.offset, int64(n), start, end)
-				}
-				st.offset += int64(n)
-			}
-		})
-		return n, err
 	}
 }
 
@@ -332,8 +301,8 @@ func (m *PosixModule) wrapPread(real libc.PreadFunc) libc.PreadFunc {
 			if err != nil || n < 0 {
 				return
 			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				m.recordRead(t, st.rec, off, int64(n), start, end)
+			if rec := m.fds[fd]; rec != nil {
+				m.recordRead(t, rec, off, int64(n), start, end)
 			}
 		})
 		return n, err
@@ -353,28 +322,8 @@ func (m *PosixModule) wrapPreadDiscard(real libc.PreadDiscardFunc) libc.PreadDis
 			if err != nil || n < 0 {
 				return
 			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				m.recordRead(t, st.rec, off, int64(n), start, end)
-			}
-		})
-		return n, err
-	}
-}
-
-func (m *PosixModule) wrapWrite(real libc.WriteFunc) libc.WriteFunc {
-	return func(t *sim.Thread, fd int, buf []byte) (int, error) {
-		start := m.rt.rel(t.Now())
-		n, err := real(t, fd, buf)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil || n < 0 {
-				return
-			}
-			if st, ok := m.fds[fd]; ok {
-				if st.rec != nil {
-					m.recordWrite(t, st.rec, st.offset, int64(n), start, end)
-				}
-				st.offset += int64(n)
+			if rec := m.fds[fd]; rec != nil {
+				m.recordRead(t, rec, off, int64(n), start, end)
 			}
 		})
 		return n, err
@@ -390,84 +339,10 @@ func (m *PosixModule) wrapPwrite(real libc.PwriteFunc) libc.PwriteFunc {
 			if err != nil || n < 0 {
 				return
 			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				m.recordWrite(t, st.rec, off, int64(n), start, end)
+			if rec := m.fds[fd]; rec != nil {
+				m.recordWrite(t, rec, off, int64(n), start, end)
 			}
 		})
 		return n, err
-	}
-}
-
-func (m *PosixModule) wrapLseek(real libc.LseekFunc) libc.LseekFunc {
-	return func(t *sim.Thread, fd int, off int64, whence int) (int64, error) {
-		start := m.rt.rel(t.Now())
-		pos, err := real(t, fd, off, whence)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if st, ok := m.fds[fd]; ok {
-				st.offset = pos
-				if st.rec != nil {
-					st.rec.Counters[POSIX_SEEKS]++
-					st.rec.FCounters[POSIX_F_META_TIME] += end - start
-				}
-			}
-		})
-		return pos, err
-	}
-}
-
-func (m *PosixModule) wrapStat(real libc.StatFunc) libc.StatFunc {
-	return func(t *sim.Thread, path string) (fi vfs.FileInfo, err error) {
-		start := m.rt.rel(t.Now())
-		fi, err = real(t, path)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if rec := m.recordFor(t, path); rec != nil {
-				rec.Counters[POSIX_STATS]++
-				rec.FCounters[POSIX_F_META_TIME] += end - start
-			}
-		})
-		return fi, err
-	}
-}
-
-func (m *PosixModule) wrapFsync(real libc.FsyncFunc) libc.FsyncFunc {
-	return func(t *sim.Thread, fd int) error {
-		start := m.rt.rel(t.Now())
-		err := real(t, fd)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if st, ok := m.fds[fd]; ok && st.rec != nil {
-				st.rec.Counters[POSIX_FSYNCS]++
-				st.rec.FCounters[POSIX_F_WRITE_TIME] += end - start
-			}
-		})
-		return err
-	}
-}
-
-func (m *PosixModule) wrapUnlink(real libc.UnlinkFunc) libc.UnlinkFunc {
-	return func(t *sim.Thread, path string) error {
-		start := m.rt.rel(t.Now())
-		err := real(t, path)
-		end := m.rt.rel(t.Now())
-		m.rt.instrument(t, func() {
-			if err != nil {
-				return
-			}
-			if rec := m.recordFor(t, path); rec != nil {
-				rec.FCounters[POSIX_F_META_TIME] += end - start
-			}
-		})
-		return err
 	}
 }

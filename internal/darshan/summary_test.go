@@ -16,7 +16,7 @@ func TestSummarize(t *testing.T) {
 		readWholeFileTFStyle(th, r.c, "/data/a", 1<<20)
 		readWholeFileTFStyle(th, r.c, "/data/b", 1<<20)
 		fd, _ := r.c.Open(th, "/data/out", 0x40|0x1) // O_CREAT|O_WRONLY
-		r.c.Write(th, fd, make([]byte, 5000))
+		r.c.Pwrite(th, fd, make([]byte, 5000), 0)
 		r.c.Close(th, fd)
 	})
 	var buf bytes.Buffer

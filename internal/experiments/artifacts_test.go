@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/darshan"
-	"repro/internal/libc"
 	"repro/internal/platform"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -138,5 +137,4 @@ func TestPreloadAndRuntimeAttachAgree(t *testing.T) {
 			}
 		}
 	}
-	_ = libc.IOSymbols
 }

@@ -154,16 +154,17 @@ type Table2Result struct {
 	Rows  []Table2Row
 }
 
+var table2Columns = columns{{"Name", -18, "%s"}, {"Batch", 6, "%d"}, {"Steps", 9, "%d"}, {"Threads", 8, "%s"},
+	{"Prefetch", 9, "%d"}, {"Files", 9, "%d"}, {"Total", 11, "%.2fGB"}, {"Median", 12, "%dK"}, {"System", -10, "%s"}}
+
 // Render implements Result.
 func (r *Table2Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table II: Characteristics of datasets and configurations (scale=%.3f)\n", r.Scale)
-	fmt.Fprintf(&b, "  %-18s %6s %9s %8s %9s %9s %10s %12s %-10s\n",
-		"Name", "Batch", "Steps", "Threads", "Prefetch", "Files", "Total", "Median", "System")
+	b.WriteString(table2Columns.header())
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-18s %6d %9d %8s %9d %9d %9.2fGB %11dK %-10s\n",
-			row.Name, row.BatchSize, row.Steps, row.Threads, row.Prefetch,
-			row.NumFiles, row.TotalGB, row.MedianSize/1024, row.System)
+		b.WriteString(table2Columns.row(row.Name, row.BatchSize, row.Steps, row.Threads, row.Prefetch,
+			row.NumFiles, row.TotalGB, row.MedianSize/1024, row.System))
 	}
 	return b.String()
 }

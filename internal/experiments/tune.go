@@ -147,7 +147,7 @@ func tuneProbe(c Config, ranks int, advices []*core.StagingAdvice) core.ClusterP
 }
 
 // adviseRankStaging derives per-rank staging plans from a run's job-end
-// snapshots: the metadata-bound objective at the node NVMe capacity.
+// snapshots, bounded by the node NVMe capacity.
 func adviseRankStaging(cluster *platform.Cluster, res *distributed.Result) []*core.StagingAdvice {
 	snaps := make([]*darshan.Snapshot, len(res.PerRank))
 	for r := range res.PerRank {
@@ -155,7 +155,6 @@ func adviseRankStaging(cluster *platform.Cluster, res *distributed.Result) []*co
 	}
 	return core.AdviseClusterStaging(snaps, core.ClusterStagingOptions{
 		PerNodeCapacity: cluster.Nodes[0].Optane.Capacity(),
-		Objective:       core.StagingMetadataBound,
 		SizeOf:          fileSizes(cluster.FS),
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/darshan"
 	"repro/internal/distributed"
 )
 
@@ -119,9 +118,7 @@ func TestTuneSerialAndParallelIdentical(t *testing.T) {
 // TestTuneRanks1DegeneratesToSingleProcessAdvice is the ranks=1 guard:
 // driven by the real one-rank cluster probes, the ClusterTuner must pick
 // exactly the thread count the single-process AutoTuner picks from the
-// same bandwidth observations (no knee backoff), and AdviseClusterStaging
-// under the single-process objective must reproduce AdviseStaging over
-// the rank's snapshot-derived session stats, byte for byte.
+// same bandwidth observations (no knee backoff).
 func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 	c := Config{Scale: 0.02}
 
@@ -150,33 +147,6 @@ func TestTuneRanks1DegeneratesToSingleProcessAdvice(t *testing.T) {
 		t.Fatalf("one-rank cluster tuner chose %d threads, Autotune chose %d", got, want)
 	}
 
-	// Staging degeneracy over a real one-rank run's snapshot.
-	cluster, d, err := buildImageNetCluster(c, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := distributed.Run(cluster, d.Paths, untunedClusterOptions(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizeOf := func(p string) (int64, bool) {
-		ino, ok := cluster.FS.Lookup(p)
-		if !ok {
-			return 0, false
-		}
-		return ino.Size, true
-	}
-	capacity := cluster.Nodes[0].Optane.Capacity()
-	snap := res.PerRank[0].Snapshot
-	got := core.AdviseClusterStaging([]*darshan.Snapshot{snap}, core.ClusterStagingOptions{
-		PerNodeCapacity: capacity,
-		Objective:       core.StagingBytesScarce,
-		SizeOf:          sizeOf,
-	})
-	single := core.AdviseStaging(core.AnalyzeSnapshot(snap, sizeOf), capacity)
-	if len(got) != 1 || !reflect.DeepEqual(got[0], single) {
-		t.Fatalf("one-rank cluster staging advice diverges from AdviseStaging:\n%+v\nvs\n%+v", got[0], single)
-	}
 }
 
 // TestTuneMetricsCarryEpochDelta pins the benchmark-surface contract: the

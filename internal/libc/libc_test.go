@@ -14,7 +14,7 @@ func newProc() (*dynload.Process, *vfs.FS) {
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	p := dynload.NewProcess()
-	p.LinkStartup(nil, NewLibrary(fs))
+	p.LinkStartup(nil, NewLibrary(fs, 0))
 	return p, fs
 }
 
@@ -95,7 +95,7 @@ func TestIsIOSymbol(t *testing.T) {
 
 func TestLibraryExportsAllIOSymbols(t *testing.T) {
 	fs := vfs.New(vfs.DefaultConfig())
-	lib := NewLibrary(fs)
+	lib := NewLibrary(fs, 0)
 	for _, s := range IOSymbols {
 		if _, ok := lib.Sym(s); !ok {
 			t.Fatalf("libc.so missing %q", s)

@@ -32,8 +32,9 @@ type Machine struct {
 	CPU  *sim.CPUSet
 	FS   *vfs.FS
 	// Node is this machine's node id on FS: the index of its client-side
-	// metadata/cache state (vfs.NodeView). Single machines are node 0;
-	// cluster rank r is node r.
+	// metadata/cache state (the node argument of vfs.FS.Open and
+	// libc.NewLibrary). Single machines are node 0; cluster rank r is
+	// node r.
 	Node int
 	Proc *dynload.Process
 	Env  *tf.Env
@@ -90,7 +91,7 @@ func (o Options) darshanConfig() darshan.Config {
 }
 
 // bootNode assembles the per-node half of a machine: a Darshan runtime, a
-// process image linked against libc over one node's view of fs (with the
+// process image linked against libc as one node of fs (with the
 // runtime preloaded when asked), a CPU pool and the TF environment. The
 // single evaluation machines and every rank of a cluster boot through this
 // one path, so a one-rank cluster node is constructed exactly like the
@@ -106,7 +107,7 @@ func bootNode(k *sim.Kernel, fs *vfs.FS, node, cores int, gpu *tf.GPU, opts Opti
 func bootNodeAt(k *sim.Kernel, fs *vfs.FS, node, cores int, gpu *tf.GPU, opts Options, jobStartNs int64) (*dynload.Process, *sim.CPUSet, *tf.Env, *darshan.Runtime) {
 	rt := darshan.NewRuntime(opts.darshanConfig(), jobStartNs)
 	proc := dynload.NewProcess()
-	base := libc.NewNodeLibrary(fs, node)
+	base := libc.NewLibrary(fs, node)
 	if opts.PreloadDarshan {
 		proc.LinkStartup([]*dynload.Library{darshan.NewPreloadLibrary(rt, base)}, base)
 	} else {

@@ -17,7 +17,7 @@ func testEnv() (*sim.Kernel, *Env) {
 	hdd := storage.NewHDD("sda", storage.DefaultHDDParams())
 	fs.AddMount(&vfs.Mount{Prefix: "/data", Dev: hdd, OpenMetaTrips: 1})
 	proc := dynload.NewProcess()
-	proc.LinkStartup(nil, libc.NewLibrary(fs))
+	proc.LinkStartup(nil, libc.NewLibrary(fs, 0))
 	env := NewEnv(k, sim.NewCPUSet(4), fs, proc, NewGPU("test-gpu"))
 	return k, env
 }

@@ -52,7 +52,7 @@ func benchPread(b *testing.B, discard bool) {
 		// setup is negligible next to the 1MiB read.
 		k = sim.NewKernel()
 		k.Spawn("bench", func(t *sim.Thread) {
-			fd, e := fs.Open(t, "/bench/f", O_RDONLY)
+			fd, e := fs.Open(t, 0, "/bench/f", O_RDONLY)
 			if e != nil {
 				err = e
 				return

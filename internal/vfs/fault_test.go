@@ -17,21 +17,20 @@ func TestFaultReadErrNth(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.InjectFaults(FaultPlan{ReadErrNth: 3})
-	v0, v1 := fs.NodeView(0), fs.NodeView(1)
 	runSim(t, func(th *sim.Thread) {
-		read := func(v *View) error {
-			fd, err := v.Open(th, "/data/a.bin", O_RDONLY)
+		read := func(node int) error {
+			fd, err := fs.Open(th, node, "/data/a.bin", O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = v.PreadDiscard(th, fd, 512, 0)
-			if cerr := v.Close(th, fd); cerr != nil {
+			_, err = fs.PreadDiscard(th, fd, 512, 0)
+			if cerr := fs.Close(th, fd); cerr != nil {
 				t.Fatal(cerr)
 			}
 			return err
 		}
 		for i := 1; i <= 6; i++ {
-			err := read(v0)
+			err := read(0)
 			if i%3 == 0 {
 				if !errors.Is(err, ErrIO) {
 					t.Fatalf("node 0 read %d: err = %v, want ErrIO", i, err)
@@ -42,11 +41,11 @@ func TestFaultReadErrNth(t *testing.T) {
 		}
 		// Node 1 starts its own cadence at 1 despite node 0's six reads.
 		for i := 1; i <= 2; i++ {
-			if err := read(v1); err != nil {
+			if err := read(1); err != nil {
 				t.Fatalf("node 1 read %d: unexpected error %v", i, err)
 			}
 		}
-		if err := read(v1); !errors.Is(err, ErrIO) {
+		if err := read(1); !errors.Is(err, ErrIO) {
 			t.Fatalf("node 1 read 3: err = %v, want ErrIO", err)
 		}
 	})
@@ -111,9 +110,7 @@ func TestFaultMDSBrownout(t *testing.T) {
 		}
 		fs.InjectFaults(plan)
 		end := runSim(t, func(th *sim.Thread) {
-			if _, err := fs.Stat(th, "/data/a.bin"); err != nil {
-				t.Fatal(err)
-			}
+			openClose(t, th, fs, 0, "/data/a.bin")
 		})
 		return end, fs.TotalFaultStats()
 	}
@@ -123,7 +120,7 @@ func TestFaultMDSBrownout(t *testing.T) {
 		t.Fatalf("brownout stats = %+v, want stretched metadata ops", stats)
 	}
 	if slow <= clean {
-		t.Fatalf("browned-out cold stat took %dns, clean %dns; want slower", slow, clean)
+		t.Fatalf("browned-out cold open took %dns, clean %dns; want slower", slow, clean)
 	}
 	if slow-clean != stats.BrownoutNs {
 		t.Fatalf("extra time %dns != injected BrownoutNs %dns", slow-clean, stats.BrownoutNs)
@@ -140,7 +137,7 @@ func TestFaultDegradedOST(t *testing.T) {
 		}
 		fs.InjectFaults(plan)
 		end := runSim(t, func(th *sim.Thread) {
-			fd, err := fs.Open(th, "/data/a.bin", O_RDONLY)
+			fd, err := fs.Open(th, 0, "/data/a.bin", O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +176,7 @@ func TestFaultRateDeterminism(t *testing.T) {
 		fs.InjectFaults(FaultPlan{Seed: 42, ReadErrRate: 0.3})
 		var failed []int
 		runSim(t, func(th *sim.Thread) {
-			fd, err := fs.Open(th, "/data/a.bin", O_RDONLY)
+			fd, err := fs.Open(th, 0, "/data/a.bin", O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +215,7 @@ func TestFaultDisarmedIdentity(t *testing.T) {
 		}
 		arm(fs)
 		return runSim(t, func(th *sim.Thread) {
-			fd, err := fs.Open(th, "/data/a.bin", O_RDONLY)
+			fd, err := fs.Open(th, 0, "/data/a.bin", O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,19 +261,16 @@ func TestNodeCachePeerDiesMidServe(t *testing.T) {
 			if _, err := caches[0].Fetch(th, "/data/x.bin"); err != nil {
 				t.Fatal("fetch refused:", err)
 			}
-			v1 := fs.NodeView(1)
-			if _, err := v1.Stat(th, "/data/warmup.bin"); err != nil {
-				t.Fatal(err)
-			}
-			fd, err := v1.Open(th, "/data/x.bin", O_RDONLY)
+			openClose(t, th, fs, 1, "/data/warmup.bin")
+			fd, err := fs.Open(th, 1, "/data/x.bin", O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
 			*preadStart = th.Now()
-			if n, err := v1.PreadDiscard(th, fd, fileSize, 0); err != nil || n != fileSize {
+			if n, err := fs.PreadDiscard(th, fd, fileSize, 0); err != nil || n != fileSize {
 				t.Fatalf("peer-abandoned read = %d, %v; want full fallback read", n, err)
 			}
-			if err := v1.Close(th, fd); err != nil {
+			if err := fs.Close(th, fd); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -340,19 +334,16 @@ func TestNodeCachePeerServeFaultInjection(t *testing.T) {
 		if _, err := caches[0].Fetch(th, "/data/x.bin"); err != nil {
 			t.Fatal("fetch refused:", err)
 		}
-		v1 := fs.NodeView(1)
-		if _, err := v1.Stat(th, "/data/warmup.bin"); err != nil {
-			t.Fatal(err)
-		}
+		openClose(t, th, fs, 1, "/data/warmup.bin")
 		before := hdd.Counters().ReadOps
-		fd, err := v1.Open(th, "/data/x.bin", O_RDONLY)
+		fd, err := fs.Open(th, 1, "/data/x.bin", O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n, err := v1.PreadDiscard(th, fd, 1<<20, 0); err != nil || n != 1<<20 {
+		if n, err := fs.PreadDiscard(th, fd, 1<<20, 0); err != nil || n != 1<<20 {
 			t.Fatalf("read = %d, %v", n, err)
 		}
-		if err := v1.Close(th, fd); err != nil {
+		if err := fs.Close(th, fd); err != nil {
 			t.Fatal(err)
 		}
 		if hdd.Counters().ReadOps == before {

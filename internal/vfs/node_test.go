@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -15,58 +16,135 @@ func TestPerNodeColdOpen(t *testing.T) {
 	if _, err := fs.CreateFile("/data/shared.bin", 1000); err != nil {
 		t.Fatal(err)
 	}
-	v0, v1 := fs.NodeView(0), fs.NodeView(1)
 	runSim(t, func(th *sim.Thread) {
-		open := func(v *View) {
-			fd, err := v.Open(th, "/data/shared.bin", O_RDONLY)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := v.Close(th, fd); err != nil {
-				t.Fatal(err)
-			}
-		}
-		open(v0)
+		open := func(node int) { openClose(t, th, fs, node, "/data/shared.bin") }
+		open(0)
 		afterNode0 := hdd.Counters().MetaOps
 		if afterNode0 == 0 {
 			t.Fatal("node 0 first open charged no metadata I/O")
 		}
-		open(v0)
+		open(0)
 		if got := hdd.Counters().MetaOps; got != afterNode0 {
 			t.Fatalf("node 0 re-open charged metadata I/O (%d -> %d)", afterNode0, got)
 		}
-		open(v1)
+		open(1)
 		afterNode1 := hdd.Counters().MetaOps
 		if afterNode1 != 2*afterNode0 {
 			t.Fatalf("node 1 first open charged %d metadata ops, want %d (its own cold cost)",
 				afterNode1-afterNode0, afterNode0)
 		}
-		open(v1)
+		open(1)
 		if got := hdd.Counters().MetaOps; got != afterNode1 {
 			t.Fatalf("node 1 re-open charged metadata I/O (%d -> %d)", afterNode1, got)
 		}
 	})
 }
 
-// TestPlainFSIsNodeZero pins the compat surface: warming through the plain
-// FS methods is exactly node 0's view.
-func TestPlainFSIsNodeZero(t *testing.T) {
+// TestOpenAndFopenShareColdOpen: open(2) and fopen(3) resolve a path
+// through one per-node cold-open path, so either entry point warms the
+// file for the other on the same node and for no other node.
+func TestOpenAndFopenShareColdOpen(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
-	if _, err := fs.CreateFile("/data/a.bin", 100); err != nil {
-		t.Fatal(err)
+	for _, p := range []string{"/data/warm.bin", "/data/a.bin", "/data/b.bin"} {
+		if _, err := fs.CreateFile(p, 100); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runSim(t, func(th *sim.Thread) {
-		if _, err := fs.Stat(th, "/data/a.bin"); err != nil {
-			t.Fatal(err)
+		metaOps := func(open func()) int64 {
+			before := hdd.Counters().MetaOps
+			open()
+			return hdd.Counters().MetaOps - before
 		}
-		cold := hdd.Counters().MetaOps
-		if _, err := fs.NodeView(0).Stat(th, "/data/a.bin"); err != nil {
-			t.Fatal(err)
+		posix := func(node int, p string) func() {
+			return func() { openClose(t, th, fs, node, p) }
 		}
-		if got := hdd.Counters().MetaOps; got != cold {
-			t.Fatalf("NodeView(0) re-stat charged metadata I/O (%d -> %d)", cold, got)
+		stdio := func(node int, p string) func() {
+			return func() {
+				s := NewStdio(fs, node)
+				st, err := s.Fopen(th, p, "r")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Fclose(th, st); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Warm the directory on both nodes, so each cold file below costs
+		// exactly its one inode trip.
+		posix(1, "/data/warm.bin")()
+		posix(2, "/data/warm.bin")()
+		for _, c := range []struct {
+			name        string
+			first, then func(node int, p string) func()
+			p           string
+		}{
+			{"open then fopen", posix, stdio, "/data/a.bin"},
+			{"fopen then open", stdio, posix, "/data/b.bin"},
+		} {
+			if got := metaOps(c.first(1, c.p)); got != 1 {
+				t.Fatalf("%s: cold first touch on node 1 = %d MDS trips, want 1", c.name, got)
+			}
+			if got := metaOps(c.then(1, c.p)); got != 0 {
+				t.Fatalf("%s: warm second touch on node 1 = %d MDS trips, want 0", c.name, got)
+			}
+			if got := metaOps(c.then(2, c.p)); got != 1 {
+				t.Fatalf("%s: cold touch on node 2 = %d MDS trips, want 1", c.name, got)
+			}
 		}
 	})
+}
+
+// TestCreatTruncMatchesFopenW: open with O_CREAT|O_TRUNC and fopen "w"
+// leave identical inodes, for a new file and for an existing one.
+func TestCreatTruncMatchesFopenW(t *testing.T) {
+	paths := []string{"/data/old.bin", "/data/new.bin"}
+	build := func(create func(th *sim.Thread, fs *FS, p string)) []Inode {
+		fs, _, _, _, _ := testFS()
+		if _, err := fs.CreateFile(paths[0], 100); err != nil {
+			t.Fatal(err)
+		}
+		runSim(t, func(th *sim.Thread) {
+			for _, p := range paths {
+				create(th, fs, p)
+			}
+		})
+		out := make([]Inode, len(paths))
+		for i, p := range paths {
+			ino, _ := fs.Lookup(p)
+			out[i] = *ino
+			out[i].Mnt = nil // a different FS's mount; compared by path
+		}
+		return out
+	}
+	posix := build(func(th *sim.Thread, fs *FS, p string) {
+		fd, err := fs.Open(th, 1, p, O_WRONLY|O_CREAT|O_TRUNC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Close(th, fd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	stdio := build(func(th *sim.Thread, fs *FS, p string) {
+		s := NewStdio(fs, 1)
+		st, err := s.Fopen(th, p, "w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Fclose(th, st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for i, p := range paths {
+		if !reflect.DeepEqual(posix[i], stdio[i]) {
+			t.Fatalf("%s: open O_CREAT|O_TRUNC inode %+v, fopen w inode %+v", p, posix[i], stdio[i])
+		}
+	}
+	if posix[0].Size != 0 || !posix[1].warm.has(1) || posix[1].warm.has(0) {
+		t.Fatalf("inodes not truncated/warmed as node 1: %+v", posix)
+	}
 }
 
 // nodeCacheFixture is a two-node FS over one shared data device with a
@@ -94,22 +172,21 @@ func TestNodeCacheLocalAndPeerServing(t *testing.T) {
 	if _, err := fs.CreateFile("/data/warmup.bin", 1<<10); err != nil {
 		t.Fatal(err)
 	}
-	v0, v1 := fs.NodeView(0), fs.NodeView(1)
-	readAll := func(th *sim.Thread, v *View) {
-		fd, err := v.Open(th, "/data/x.bin", O_RDONLY)
+	readAll := func(th *sim.Thread, node int) {
+		fd, err := fs.Open(th, node, "/data/x.bin", O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.PreadDiscard(th, fd, 1<<20, 0); err != nil {
+		if _, err := fs.PreadDiscard(th, fd, 1<<20, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := v.Close(th, fd); err != nil {
+		if err := fs.Close(th, fd); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runSim(t, func(th *sim.Thread) {
 		// Miss first: node 0's read falls through to the data device.
-		readAll(th, v0)
+		readAll(th, 0)
 		if s := caches[0].Stats(); s.PFSReads != 1 || s.LocalHits != 0 {
 			t.Fatalf("cold read: stats = %+v, want one PFS read", s)
 		}
@@ -117,20 +194,18 @@ func TestNodeCacheLocalAndPeerServing(t *testing.T) {
 		if _, err := caches[0].Fetch(th, "/data/x.bin"); err != nil {
 			t.Fatal("fetch refused:", err)
 		}
-		readAll(th, v0)
+		readAll(th, 0)
 		if s := caches[0].Stats(); s.LocalHits != 1 {
 			t.Fatalf("after fetch: stats = %+v, want one local hit", s)
 		}
 		// Warm node 1's directory cache first (peer serving replaces the
 		// per-file inode RPC, not the once-per-directory lookup).
-		if _, err := v1.Stat(th, "/data/warmup.bin"); err != nil {
-			t.Fatal(err)
-		}
+		openClose(t, th, fs, 1, "/data/warmup.bin")
 		// Node 1 is cold on the file but peer serving resolves both the
 		// metadata and the data from node 0's cache: the shared data device
 		// sees no new traffic.
 		dataOps := hdd.Counters()
-		readAll(th, v1)
+		readAll(th, 1)
 		if s := caches[1].Stats(); s.PeerHits != 1 || s.PeerMetaHits != 1 {
 			t.Fatalf("peer read: stats = %+v, want one peer hit and one peer metadata hit", s)
 		}
@@ -151,7 +226,7 @@ func TestNodeCacheWriteInvalidates(t *testing.T) {
 		if _, err := caches[0].Fetch(th, "/data/x.bin"); err != nil {
 			t.Fatal("fetch refused:", err)
 		}
-		fd, err := fs.Open(th, "/data/x.bin", O_WRONLY)
+		fd, err := fs.Open(th, 0, "/data/x.bin", O_WRONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +263,7 @@ func TestBulkColdOpen(t *testing.T) {
 		}
 		// Node 0 is now warm; a plain open charges nothing further.
 		warm := hdd.Counters().MetaOps
-		fd, err := fs.Open(th, paths[0], O_RDONLY)
+		fd, err := fs.Open(th, 0, paths[0], O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,9 +272,7 @@ func TestBulkColdOpen(t *testing.T) {
 			t.Fatalf("open after bulk warm charged metadata I/O (%d -> %d)", warm, got)
 		}
 		// Node 1 was not part of the bulk lookup and still pays cold cost.
-		if _, err := fs.NodeView(1).Stat(th, paths[0]); err != nil {
-			t.Fatal(err)
-		}
+		openClose(t, th, fs, 1, paths[0])
 		if got := hdd.Counters().MetaOps; got == warm {
 			t.Fatal("node 1 open after node 0 bulk warm charged no metadata I/O")
 		}
@@ -219,7 +292,6 @@ func TestNodeCacheEvictionBound(t *testing.T) {
 		}
 	}
 	c := caches[0]
-	v := fs.NodeView(0)
 	runSim(t, func(th *sim.Thread) {
 		for _, p := range paths {
 			if _, err := c.Fetch(th, p); err != nil {
@@ -229,14 +301,14 @@ func TestNodeCacheEvictionBound(t *testing.T) {
 				t.Fatalf("cache exceeded capacity: %d > %d", c.Used(), c.Capacity())
 			}
 			// Consume so the entry is evictable.
-			fd, err := v.Open(th, p, O_RDONLY)
+			fd, err := fs.Open(th, 0, p, O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := v.PreadDiscard(th, fd, fileSize, 0); err != nil {
+			if _, err := fs.PreadDiscard(th, fd, fileSize, 0); err != nil {
 				t.Fatal(err)
 			}
-			v.Close(th, fd)
+			fs.Close(th, fd)
 		}
 		s := c.Stats()
 		if s.Evictions != 4 {

@@ -7,55 +7,53 @@ import (
 	"repro/internal/sim"
 )
 
-// FileInfo is the result of Stat.
-type FileInfo struct {
-	Path string
-	Size int64
-	Ino  int64
-}
-
 func (fs *FS) syscall(t *sim.Thread) {
 	if fs.cfg.SyscallCPU > 0 {
 		t.Sleep(fs.cfg.SyscallCPU)
 	}
 }
 
-// Open opens a file, charging cold metadata I/O on first touch. It returns
-// a file descriptor. FS-level syscalls are the single-node surface: they
-// run as node 0 (identical to NodeView(0)).
-func (fs *FS) Open(t *sim.Thread, p string, flags int) (int, error) {
-	return fs.openNode(t, 0, p, flags)
-}
-
-func (fs *FS) openNode(t *sim.Thread, node int, p string, flags int) (int, error) {
+// Open opens a file as node, charging that node's cold metadata I/O on
+// first touch. It returns a file descriptor that remembers node, so reads
+// through it resolve against node's data cache.
+func (fs *FS) Open(t *sim.Thread, node int, p string, flags int) (int, error) {
 	fs.syscall(t)
-	p = path.Clean(p)
-	ino, ok := fs.inodes[p]
-	if !ok {
-		if flags&O_CREAT == 0 {
-			return -1, fmt.Errorf("open %s: %w", p, ErrNotExist)
-		}
-		m, err := fs.MountFor(p)
-		if err != nil {
-			return -1, fmt.Errorf("open %s: %w", p, err)
-		}
-		ino = fs.newInode(p, m)
-		ino.warm.add(node) // creator holds the metadata in cache
-	} else {
-		fs.chargeColdOpen(t, node, ino)
-	}
-	if flags&O_TRUNC != 0 {
-		ino.Size = 0
-		ino.content = nil
-	}
-	of := &openFile{inode: ino, node: node, flags: flags}
-	if flags&O_APPEND != 0 {
-		of.offset = ino.Size
+	ino, err := fs.resolve(t, node, p, flags&O_CREAT != 0, flags&O_TRUNC != 0)
+	if err != nil {
+		return -1, fmt.Errorf("open %s: %w", p, err)
 	}
 	fd := fs.nextFD
 	fs.nextFD++
-	fs.fds[fd] = of
+	fs.fds[fd] = &openFile{inode: ino, node: node, flags: flags}
 	return fd, nil
+}
+
+// resolve is the path half shared by open(2) and fopen(3): it looks p up
+// (creating it when creat is set), charges node's cold metadata I/O on
+// first touch of an existing file, and empties the file when trunc is set.
+// A node that creates a file holds its metadata warm.
+func (fs *FS) resolve(t *sim.Thread, node int, p string, creat, trunc bool) (*Inode, error) {
+	checkNode(node)
+	p = path.Clean(p)
+	ino, ok := fs.inodes[p]
+	if !ok {
+		if !creat {
+			return nil, ErrNotExist
+		}
+		m, err := fs.MountFor(p)
+		if err != nil {
+			return nil, err
+		}
+		ino = fs.newInode(p, m)
+		ino.warm.add(node)
+	} else {
+		fs.chargeColdOpen(t, node, ino)
+	}
+	if trunc {
+		ino.Size = 0
+		ino.content = nil
+	}
+	return ino, nil
 }
 
 // Close closes a file descriptor.
@@ -93,7 +91,7 @@ func (fs *FS) preadSpan(t *sim.Thread, fd int, count, off int64) (*openFile, int
 		return nil, -1, err
 	}
 	if accMode(of.flags) == O_WRONLY {
-		return nil, -1, ErrWriteOny
+		return nil, -1, ErrWriteOnly
 	}
 	if off < 0 || count < 0 {
 		return nil, -1, ErrInvalid
@@ -137,20 +135,6 @@ func (fs *FS) PreadDiscard(t *sim.Thread, fd int, count int64, off int64) (int, 
 		return -1, err
 	}
 	return int(n), nil
-}
-
-// Read reads from the current offset and advances it.
-func (fs *FS) Read(t *sim.Thread, fd int, buf []byte) (int, error) {
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		fs.syscall(t)
-		return -1, err
-	}
-	n, err := fs.Pread(t, fd, buf, of.offset)
-	if n > 0 {
-		of.offset += int64(n)
-	}
-	return n, err
 }
 
 // Pwrite writes buf at the given offset without moving the file offset.
@@ -202,96 +186,6 @@ func (fs *FS) writeAt(t *sim.Thread, ino *Inode, buf []byte, off int64) (int, er
 	}
 	ino.Mnt.Dev.Write(t, ino.Extent+off, n)
 	return int(n), nil
-}
-
-// Write writes at the current offset and advances it.
-func (fs *FS) Write(t *sim.Thread, fd int, buf []byte) (int, error) {
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		fs.syscall(t)
-		return -1, err
-	}
-	if of.flags&O_APPEND != 0 {
-		of.offset = of.inode.Size
-	}
-	n, err := fs.Pwrite(t, fd, buf, of.offset)
-	if n > 0 {
-		of.offset += int64(n)
-	}
-	return n, err
-}
-
-// Lseek repositions the file offset.
-func (fs *FS) Lseek(t *sim.Thread, fd int, off int64, whence int) (int64, error) {
-	fs.syscall(t)
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		return -1, err
-	}
-	var base int64
-	switch whence {
-	case SeekSet:
-		base = 0
-	case SeekCur:
-		base = of.offset
-	case SeekEnd:
-		base = of.inode.Size
-	default:
-		return -1, ErrInvalid
-	}
-	np := base + off
-	if np < 0 {
-		return -1, ErrInvalid
-	}
-	of.offset = np
-	return np, nil
-}
-
-// Stat returns file metadata, charging cold metadata I/O on first touch.
-func (fs *FS) Stat(t *sim.Thread, p string) (FileInfo, error) {
-	return fs.statNode(t, 0, p)
-}
-
-func (fs *FS) statNode(t *sim.Thread, node int, p string) (FileInfo, error) {
-	fs.syscall(t)
-	ino, ok := fs.inodes[path.Clean(p)]
-	if !ok {
-		return FileInfo{}, fmt.Errorf("stat %s: %w", p, ErrNotExist)
-	}
-	fs.chargeColdOpen(t, node, ino)
-	return FileInfo{Path: ino.Path, Size: ino.Size, Ino: ino.Ino}, nil
-}
-
-// Fstat returns metadata for an open descriptor (never cold).
-func (fs *FS) Fstat(t *sim.Thread, fd int) (FileInfo, error) {
-	fs.syscall(t)
-	of, err := fs.lookupFD(fd)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	ino := of.inode
-	return FileInfo{Path: ino.Path, Size: ino.Size, Ino: ino.Ino}, nil
-}
-
-// Fsync forces written data to the device. Data writes are synchronous in
-// this model, so fsync costs only the syscall plus a small device barrier.
-func (fs *FS) Fsync(t *sim.Thread, fd int) error {
-	fs.syscall(t)
-	_, err := fs.lookupFD(fd)
-	return err
-}
-
-// Unlink removes a file from the namespace.
-func (fs *FS) Unlink(t *sim.Thread, p string) error {
-	fs.syscall(t)
-	p = path.Clean(p)
-	ino, ok := fs.inodes[p]
-	if !ok {
-		return fmt.Errorf("unlink %s: %w", p, ErrNotExist)
-	}
-	fs.invalidateCached(ino)
-	delete(fs.inodes, p)
-	return nil
 }
 
 // OpenFDs returns the number of open descriptors (for leak checks).

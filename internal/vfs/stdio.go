@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"fmt"
-	"path"
 
 	"repro/internal/sim"
 )
@@ -21,8 +20,7 @@ type Stream struct {
 	fs     *FS
 	node   int
 	inode  *Inode
-	read   bool
-	write  bool
+	write  bool // opened "w"; otherwise "r"
 	offset int64
 	buf    []byte
 	bufOff int64 // file offset of buf[0]
@@ -43,62 +41,25 @@ type Stdio struct {
 	node int
 }
 
-// NewStdio returns the STDIO layer for fs on node 0 (the single-node
-// surface).
-func NewStdio(fs *FS) *Stdio { return &Stdio{fs: fs} }
-
-// NewStdioNode returns the STDIO layer for fs as seen from node.
-func NewStdioNode(fs *FS, node int) *Stdio {
+// NewStdio returns the STDIO layer for fs as seen from node.
+func NewStdio(fs *FS, node int) *Stdio {
 	checkNode(node)
 	return &Stdio{fs: fs, node: node}
 }
 
-// Fopen opens a stream. Modes "r", "w", "a" (with optional "+") are
-// supported.
+// Fopen opens a stream: "r" reads an existing file, "w" creates or
+// truncates one for writing. Any other mode is ErrInvalid.
 func (s *Stdio) Fopen(t *sim.Thread, p, mode string) (*Stream, error) {
 	s.fs.syscall(t)
-	var rd, wr, trunc, appnd, creat bool
-	if len(mode) == 0 {
+	if mode != "r" && mode != "w" {
 		return nil, ErrInvalid
 	}
-	switch mode[0] {
-	case 'r':
-		rd = true
-	case 'w':
-		wr, trunc, creat = true, true, true
-	case 'a':
-		wr, appnd, creat = true, true, true
-	default:
-		return nil, ErrInvalid
+	write := mode == "w"
+	ino, err := s.fs.resolve(t, s.node, p, write, write)
+	if err != nil {
+		return nil, fmt.Errorf("fopen %s: %w", p, err)
 	}
-	for _, c := range mode[1:] {
-		if c == '+' {
-			rd, wr = true, true
-		}
-	}
-	ino, ok := s.fs.inodes[path.Clean(p)]
-	if !ok {
-		if !creat {
-			return nil, fmt.Errorf("fopen %s: %w", p, ErrNotExist)
-		}
-		m, err := s.fs.MountFor(p)
-		if err != nil {
-			return nil, err
-		}
-		ino = s.fs.newInode(path.Clean(p), m)
-		ino.warm.add(s.node)
-	} else {
-		s.fs.chargeColdOpen(t, s.node, ino)
-	}
-	if trunc {
-		ino.Size = 0
-		ino.content = nil
-	}
-	st := &Stream{fs: s.fs, node: s.node, inode: ino, read: rd, write: wr}
-	if appnd {
-		st.offset = ino.Size
-	}
-	return st, nil
+	return &Stream{fs: s.fs, node: s.node, inode: ino, write: write}, nil
 }
 
 // Fwrite appends len(data) bytes to the stream buffer, flushing to the
@@ -138,7 +99,7 @@ func (s *Stdio) Fwrite(t *sim.Thread, st *Stream, data []byte) (int, error) {
 // EOF, charge the device read and advance the stream offset. The caller
 // materializes content (or not).
 func (s *Stdio) freadSpan(t *sim.Thread, st *Stream, count int64) (off int64, n int64, err error) {
-	if st.closed || !st.read {
+	if st.closed || st.write {
 		return 0, 0, ErrBadFD
 	}
 	if err := s.Fflush(t, st); err != nil {
@@ -190,36 +151,6 @@ func (s *Stdio) FreadDiscard(t *sim.Thread, st *Stream, count int64) (int, error
 	}
 	return int(n), nil
 }
-
-// Fseek repositions the stream, flushing pending output first.
-func (s *Stdio) Fseek(t *sim.Thread, st *Stream, off int64, whence int) error {
-	if st.closed {
-		return ErrBadFD
-	}
-	if err := s.Fflush(t, st); err != nil {
-		return err
-	}
-	var base int64
-	switch whence {
-	case SeekSet:
-		base = 0
-	case SeekCur:
-		base = st.offset
-	case SeekEnd:
-		base = st.inode.Size
-	default:
-		return ErrInvalid
-	}
-	np := base + off
-	if np < 0 {
-		return ErrInvalid
-	}
-	st.offset = np
-	return nil
-}
-
-// Ftell returns the current stream offset.
-func (s *Stdio) Ftell(st *Stream) int64 { return st.offset }
 
 // Fflush writes any buffered data to the device.
 func (s *Stdio) Fflush(t *sim.Thread, st *Stream) error {

@@ -10,7 +10,7 @@ import (
 
 func TestFwriteBuffersSmallWrites(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, err := stdio.Fopen(th, "/data/log.txt", "w")
 		if err != nil {
@@ -40,7 +40,7 @@ func TestFwriteBuffersSmallWrites(t *testing.T) {
 
 func TestFwriteLargeWritesBypassBuffer(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/ckpt", "w")
 		big := make([]byte, 2*StdioBufSize)
@@ -54,7 +54,7 @@ func TestFwriteLargeWritesBypassBuffer(t *testing.T) {
 
 func TestFreadDiscardAdvancesLikeFread(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	fs.CreateFile("/data/fd", 10)
 	runSim(t, func(th *sim.Thread) {
 		st, err := stdio.Fopen(th, "/data/fd", "r")
@@ -66,7 +66,7 @@ func TestFreadDiscardAdvancesLikeFread(t *testing.T) {
 				t.Fatalf("FreadDiscard = %d, %v (want %d)", n, err, want)
 			}
 		}
-		if off := stdio.Ftell(st); off != 10 {
+		if off := st.Offset(); off != 10 {
 			t.Fatalf("offset after discard reads = %d, want 10", off)
 		}
 		if _, err := stdio.FreadDiscard(th, st, -1); !errors.Is(err, ErrInvalid) {
@@ -78,7 +78,7 @@ func TestFreadDiscardAdvancesLikeFread(t *testing.T) {
 
 func TestFreadRoundTrip(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/w", "w")
 		stdio.Fwrite(th, st, []byte("abcdefgh"))
@@ -104,58 +104,40 @@ func TestFreadRoundTrip(t *testing.T) {
 
 func TestFopenModes(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	fs.CreateFile("/data/exists", 50)
 	runSim(t, func(th *sim.Thread) {
 		if _, err := stdio.Fopen(th, "/data/nope", "r"); !errors.Is(err, ErrNotExist) {
 			t.Fatalf("r on missing = %v", err)
 		}
-		st, err := stdio.Fopen(th, "/data/exists", "a")
-		if err != nil {
-			t.Fatal(err)
+		for _, mode := range []string{"", "a", "r+", "w+", "?"} {
+			if _, err := stdio.Fopen(th, "/data/exists", mode); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("mode %q = %v, want ErrInvalid", mode, err)
+			}
 		}
-		if got := stdio.Ftell(st); got != 50 {
-			t.Fatalf("append offset = %d", got)
+		if ino, _ := fs.Lookup("/data/exists"); ino.Size != 50 {
+			t.Fatalf("size after rejected modes = %d, want 50", ino.Size)
 		}
-		stdio.Fwrite(th, st, []byte("xy"))
+		st, _ := stdio.Fopen(th, "/data/exists", "r")
+		if _, err := stdio.Fwrite(th, st, []byte("x")); !errors.Is(err, ErrBadFD) {
+			t.Fatalf("fwrite on r stream = %v", err)
+		}
 		stdio.Fclose(th, st)
-		ino, _ := fs.Lookup("/data/exists")
-		if ino.Size != 52 {
-			t.Fatalf("size after append = %d", ino.Size)
-		}
-		// "w" truncates.
+		// "w" truncates, and its stream does not read.
 		st, _ = stdio.Fopen(th, "/data/exists", "w")
+		if _, err := stdio.Fread(th, st, make([]byte, 1)); !errors.Is(err, ErrBadFD) {
+			t.Fatalf("fread on w stream = %v", err)
+		}
 		stdio.Fclose(th, st)
-		ino, _ = fs.Lookup("/data/exists")
-		if ino.Size != 0 {
+		if ino, _ := fs.Lookup("/data/exists"); ino.Size != 0 {
 			t.Fatalf("size after w = %d", ino.Size)
 		}
-		if _, err := stdio.Fopen(th, "/data/exists", "?"); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("bad mode = %v", err)
-		}
-	})
-}
-
-func TestFseekFlushesAndRepositions(t *testing.T) {
-	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
-	runSim(t, func(th *sim.Thread) {
-		st, _ := stdio.Fopen(th, "/data/seek", "w+")
-		stdio.Fwrite(th, st, []byte("0123456789"))
-		if err := stdio.Fseek(th, st, 2, SeekSet); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 3)
-		if n, _ := stdio.Fread(th, st, buf); n != 3 || string(buf) != "234" {
-			t.Fatalf("read after seek = %q", buf)
-		}
-		stdio.Fclose(th, st)
 	})
 }
 
 func TestStreamFlushCountTracksBufferFills(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/fills", "w")
 		chunk := make([]byte, StdioBufSize/2)
@@ -171,7 +153,7 @@ func TestStreamFlushCountTracksBufferFills(t *testing.T) {
 
 func TestClosedStreamOperationsFail(t *testing.T) {
 	fs, _, _, _, _ := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/data/c", "w")
 		stdio.Fclose(th, st)
@@ -186,7 +168,7 @@ func TestClosedStreamOperationsFail(t *testing.T) {
 
 func TestStdioWritesLandOnCorrectDevice(t *testing.T) {
 	fs, _, _, _, opt := testFS()
-	stdio := NewStdio(fs)
+	stdio := NewStdio(fs, 0)
 	runSim(t, func(th *sim.Thread) {
 		st, _ := stdio.Fopen(th, "/fast/f", "w")
 		stdio.Fwrite(th, st, make([]byte, 2*StdioBufSize))

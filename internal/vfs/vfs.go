@@ -6,7 +6,7 @@
 //
 // Caching model: the paper drops the page cache before every benchmark and
 // runs a single epoch, so every file is cold exactly once. The VFS mirrors
-// that: the first open (or stat) of a file charges cold metadata I/O to the
+// that: the first open of a file charges cold metadata I/O to the
 // device; afterwards metadata is cached in memory. Data reads always hit
 // the device (each file's data is read once per epoch) unless a node-local
 // data cache (NodeCache) holds the file.
@@ -15,9 +15,9 @@
 // devices (a cluster on one parallel file system). Metadata caching is
 // client-side state, so warm/cold is tracked per node: a file warmed by
 // node A is still cold for node B, which pays its own metadata RPC on
-// first touch. Each node issues syscalls through its View (NodeView);
-// plain FS methods are the single-node surface, identical to node 0's
-// view.
+// first touch. The path-taking calls (FS.Open, Stdio.Fopen) name the
+// opening node; descriptors and streams remember it, so the reads that
+// follow resolve against that node's cache.
 package vfs
 
 import (
@@ -33,15 +33,15 @@ import (
 
 // Errors returned by VFS operations, mirroring their errno counterparts.
 var (
-	ErrNotExist = errors.New("vfs: no such file or directory") // ENOENT
-	ErrExist    = errors.New("vfs: file exists")               // EEXIST
-	ErrBadFD    = errors.New("vfs: bad file descriptor")       // EBADF
-	ErrReadOnly = errors.New("vfs: file not open for writing") // EBADF on write
-	ErrWriteOny = errors.New("vfs: file not open for reading") // EBADF on read
-	ErrNoMount  = errors.New("vfs: no mount for path")
-	ErrInvalid  = errors.New("vfs: invalid argument") // EINVAL
-	ErrIO       = errors.New("vfs: input/output error") // EIO (transient)
-	ErrNoSpace  = errors.New("vfs: no space on device") // ENOSPC
+	ErrNotExist  = errors.New("vfs: no such file or directory") // ENOENT
+	ErrExist     = errors.New("vfs: file exists")               // EEXIST
+	ErrBadFD     = errors.New("vfs: bad file descriptor")       // EBADF
+	ErrReadOnly  = errors.New("vfs: file not open for writing") // EBADF on write
+	ErrWriteOnly = errors.New("vfs: file not open for reading") // EBADF on read
+	ErrNoMount   = errors.New("vfs: no mount for path")
+	ErrInvalid   = errors.New("vfs: invalid argument")   // EINVAL
+	ErrIO        = errors.New("vfs: input/output error") // EIO (transient)
+	ErrNoSpace   = errors.New("vfs: no space on device") // ENOSPC
 )
 
 // Open flags (subset of fcntl.h).
@@ -51,14 +51,6 @@ const (
 	O_RDWR   = 0x2
 	O_CREAT  = 0x40
 	O_TRUNC  = 0x200
-	O_APPEND = 0x400
-)
-
-// Whence values for Lseek.
-const (
-	SeekSet = 0
-	SeekCur = 1
-	SeekEnd = 2
 )
 
 // Config tunes FS-wide costs.
@@ -147,7 +139,7 @@ type Inode struct {
 	Extent int64 // device position of the file's data
 	Mnt    *Mount
 
-	warm    nodeSet // per-node: metadata cached (first open/stat done)
+	warm    nodeSet // per-node: metadata cached (first open done)
 	alloc   bool    // extent assigned
 	content []byte  // stored content for small written files
 	seed    int64   // procedural content seed
@@ -157,7 +149,6 @@ type openFile struct {
 	inode  *Inode
 	node   int // node whose libc opened the descriptor
 	flags  int
-	offset int64
 	closed bool
 }
 

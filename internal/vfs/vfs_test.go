@@ -30,32 +30,45 @@ func runSim(t *testing.T, fn func(th *sim.Thread)) int64 {
 	return k.Now()
 }
 
+// openClose opens and closes p as node: a first touch that warms node's
+// metadata for the file and its directory.
+func openClose(t *testing.T, th *sim.Thread, fs *FS, node int, p string) {
+	t.Helper()
+	fd, err := fs.Open(th, node, p, O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(th, fd); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOpenReadCloseRoundTrip(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
 	if _, err := fs.CreateFile("/data/a.bin", 1000); err != nil {
 		t.Fatal(err)
 	}
 	runSim(t, func(th *sim.Thread) {
-		fd, err := fs.Open(th, "/data/a.bin", O_RDONLY)
+		fd, err := fs.Open(th, 0, "/data/a.bin", O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 400)
-		n, err := fs.Read(th, fd, buf)
+		n, err := fs.Pread(th, fd, buf, 0)
 		if err != nil || n != 400 {
-			t.Fatalf("Read = %d, %v", n, err)
+			t.Fatalf("Pread = %d, %v", n, err)
 		}
-		n, err = fs.Read(th, fd, buf)
+		n, err = fs.Pread(th, fd, buf, 400)
 		if err != nil || n != 400 {
-			t.Fatalf("Read2 = %d, %v", n, err)
+			t.Fatalf("Pread2 = %d, %v", n, err)
 		}
-		n, err = fs.Read(th, fd, buf)
+		n, err = fs.Pread(th, fd, buf, 800)
 		if err != nil || n != 200 {
-			t.Fatalf("Read3 = %d, %v (partial at EOF)", n, err)
+			t.Fatalf("Pread3 = %d, %v (partial at EOF)", n, err)
 		}
-		n, err = fs.Read(th, fd, buf)
+		n, err = fs.Pread(th, fd, buf, 1000)
 		if err != nil || n != 0 {
-			t.Fatalf("Read4 = %d, %v (EOF)", n, err)
+			t.Fatalf("Pread4 = %d, %v (EOF)", n, err)
 		}
 		if err := fs.Close(th, fd); err != nil {
 			t.Fatal(err)
@@ -77,7 +90,7 @@ func TestPreadAtEOFReturnsZeroWithoutDeviceAccess(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
 	fs.CreateFile("/data/f", 100)
 	runSim(t, func(th *sim.Thread) {
-		fd, _ := fs.Open(th, "/data/f", O_RDONLY)
+		fd, _ := fs.Open(th, 0, "/data/f", O_RDONLY)
 		buf := make([]byte, 64)
 		before := hdd.Counters().ReadOps
 		n, err := fs.Pread(th, fd, buf, 100)
@@ -98,13 +111,15 @@ func TestPreadDiscardMatchesPread(t *testing.T) {
 	fs.CreateFile("/data/d", 1000)
 	var tPread, tDiscard int64
 	tPread = runSim(t, func(th *sim.Thread) {
-		fd, _ := fs.Open(th, "/data/d", O_RDONLY)
+		fd, _ := fs.Open(th, 0, "/data/d", O_RDONLY)
 		buf := make([]byte, 400)
+		var off int64
 		for _, want := range []int{400, 400, 200, 0} {
-			n, err := fs.Read(th, fd, buf)
+			n, err := fs.Pread(th, fd, buf, off)
 			if err != nil || n != want {
-				t.Fatalf("Read = %d, %v (want %d)", n, err, want)
+				t.Fatalf("Pread = %d, %v (want %d)", n, err, want)
 			}
+			off += int64(n)
 		}
 		fs.Close(th, fd)
 	})
@@ -113,7 +128,7 @@ func TestPreadDiscardMatchesPread(t *testing.T) {
 	fs2, _, _, hdd2, _ := testFS()
 	fs2.CreateFile("/data/d", 1000)
 	tDiscard = runSim(t, func(th *sim.Thread) {
-		fd, _ := fs2.Open(th, "/data/d", O_RDONLY)
+		fd, _ := fs2.Open(th, 0, "/data/d", O_RDONLY)
 		var off int64
 		for _, want := range []int{400, 400, 200, 0} {
 			n, err := fs2.PreadDiscard(th, fd, 400, off)
@@ -140,7 +155,7 @@ func TestPreadDiscardErrors(t *testing.T) {
 		if _, err := fs.PreadDiscard(th, 99, 10, 0); !errors.Is(err, ErrBadFD) {
 			t.Fatalf("bad fd error = %v", err)
 		}
-		fd, _ := fs.Open(th, "/data/e", O_RDONLY)
+		fd, _ := fs.Open(th, 0, "/data/e", O_RDONLY)
 		if _, err := fs.PreadDiscard(th, fd, 10, -1); !errors.Is(err, ErrInvalid) {
 			t.Fatalf("negative offset error = %v", err)
 		}
@@ -155,10 +170,10 @@ func TestColdMetadataChargedOncePerFile(t *testing.T) {
 	fs, _, _, hdd, _ := testFS()
 	fs.CreateFile("/data/a", 10)
 	runSim(t, func(th *sim.Thread) {
-		fd, _ := fs.Open(th, "/data/a", O_RDONLY)
+		fd, _ := fs.Open(th, 0, "/data/a", O_RDONLY)
 		fs.Close(th, fd)
 		after1 := hdd.Counters().MetaOps
-		fd, _ = fs.Open(th, "/data/a", O_RDONLY)
+		fd, _ = fs.Open(th, 0, "/data/a", O_RDONLY)
 		fs.Close(th, fd)
 		if hdd.Counters().MetaOps != after1 {
 			t.Fatal("second open charged metadata again")
@@ -179,7 +194,7 @@ func TestFractionalMetaTripsAmortize(t *testing.T) {
 	}
 	runSim(t, func(th *sim.Thread) {
 		for i := 0; i < 16; i++ {
-			fd, err := fs.Open(th, "/d/f"+string(rune('a'+i)), O_RDONLY)
+			fd, err := fs.Open(th, 0, "/d/f"+string(rune('a'+i)), O_RDONLY)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,19 +209,19 @@ func TestFractionalMetaTripsAmortize(t *testing.T) {
 func TestWriteReadBackContent(t *testing.T) {
 	fs, _, _, _, _ := testFS()
 	runSim(t, func(th *sim.Thread) {
-		fd, err := fs.Open(th, "/data/out.bin", O_WRONLY|O_CREAT)
+		fd, err := fs.Open(th, 0, "/data/out.bin", O_WRONLY|O_CREAT)
 		if err != nil {
 			t.Fatal(err)
 		}
 		msg := []byte("hello darshan")
-		if n, err := fs.Write(th, fd, msg); n != len(msg) || err != nil {
-			t.Fatalf("Write = %d, %v", n, err)
+		if n, err := fs.Pwrite(th, fd, msg, 0); n != len(msg) || err != nil {
+			t.Fatalf("Pwrite = %d, %v", n, err)
 		}
 		fs.Close(th, fd)
 
-		fd, _ = fs.Open(th, "/data/out.bin", O_RDONLY)
+		fd, _ = fs.Open(th, 0, "/data/out.bin", O_RDONLY)
 		buf := make([]byte, len(msg))
-		if n, _ := fs.Read(th, fd, buf); n != len(msg) {
+		if n, _ := fs.Pread(th, fd, buf, 0); n != len(msg) {
 			t.Fatalf("read back %d bytes", n)
 		}
 		if string(buf) != string(msg) {
@@ -223,7 +238,7 @@ func TestProceduralContentDeterministic(t *testing.T) {
 	read := func() []byte {
 		var out []byte
 		runSim(t, func(th *sim.Thread) {
-			fd, _ := fs.Open(th, "/data/big", O_RDONLY)
+			fd, _ := fs.Open(th, 0, "/data/big", O_RDONLY)
 			buf := make([]byte, 512)
 			fs.Pread(th, fd, buf, 777)
 			out = append([]byte(nil), buf...)
@@ -240,47 +255,26 @@ func TestProceduralContentDeterministic(t *testing.T) {
 	}
 }
 
-func TestLseekWhence(t *testing.T) {
-	fs, _, _, _, _ := testFS()
-	fs.CreateFile("/data/f", 1000)
-	runSim(t, func(th *sim.Thread) {
-		fd, _ := fs.Open(th, "/data/f", O_RDONLY)
-		if off, _ := fs.Lseek(th, fd, 100, SeekSet); off != 100 {
-			t.Fatalf("SeekSet = %d", off)
-		}
-		if off, _ := fs.Lseek(th, fd, 50, SeekCur); off != 150 {
-			t.Fatalf("SeekCur = %d", off)
-		}
-		if off, _ := fs.Lseek(th, fd, -10, SeekEnd); off != 990 {
-			t.Fatalf("SeekEnd = %d", off)
-		}
-		if _, err := fs.Lseek(th, fd, -5000, SeekCur); !errors.Is(err, ErrInvalid) {
-			t.Fatalf("negative seek err = %v", err)
-		}
-		fs.Close(th, fd)
-	})
-}
-
 func TestOpenErrors(t *testing.T) {
 	fs, _, _, _, _ := testFS()
 	runSim(t, func(th *sim.Thread) {
-		if _, err := fs.Open(th, "/data/missing", O_RDONLY); !errors.Is(err, ErrNotExist) {
+		if _, err := fs.Open(th, 0, "/data/missing", O_RDONLY); !errors.Is(err, ErrNotExist) {
 			t.Fatalf("err = %v", err)
 		}
-		if _, err := fs.Open(th, "/nomount/x", O_CREAT|O_WRONLY); !errors.Is(err, ErrNoMount) {
+		if _, err := fs.Open(th, 0, "/nomount/x", O_CREAT|O_WRONLY); !errors.Is(err, ErrNoMount) {
 			t.Fatalf("err = %v", err)
 		}
 		if err := fs.Close(th, 999); !errors.Is(err, ErrBadFD) {
 			t.Fatalf("err = %v", err)
 		}
 		fs.CreateFile("/data/ro", 10)
-		fd, _ := fs.Open(th, "/data/ro", O_RDONLY)
-		if _, err := fs.Write(th, fd, []byte("x")); !errors.Is(err, ErrReadOnly) {
+		fd, _ := fs.Open(th, 0, "/data/ro", O_RDONLY)
+		if _, err := fs.Pwrite(th, fd, []byte("x"), 0); !errors.Is(err, ErrReadOnly) {
 			t.Fatalf("write to O_RDONLY err = %v", err)
 		}
 		fs.Close(th, fd)
-		fd, _ = fs.Open(th, "/data/ro", O_WRONLY)
-		if _, err := fs.Read(th, fd, make([]byte, 4)); !errors.Is(err, ErrWriteOny) {
+		fd, _ = fs.Open(th, 0, "/data/ro", O_WRONLY)
+		if _, err := fs.Pread(th, fd, make([]byte, 4), 0); !errors.Is(err, ErrWriteOnly) {
 			t.Fatalf("read from O_WRONLY err = %v", err)
 		}
 		fs.Close(th, fd)
@@ -315,12 +309,12 @@ func TestMigrateMovesDataToFastTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	runSim(t, func(th *sim.Thread) {
-		fd, err := fs.Open(th, "/data/small.bin", O_RDONLY)
+		fd, err := fs.Open(th, 0, "/data/small.bin", O_RDONLY)
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 500*storage.KiB)
-		fs.Read(th, fd, buf)
+		fs.Pread(th, fd, buf, 0)
 		fs.Close(th, fd)
 	})
 	if hdd.Counters().ReadOps != 0 {
@@ -329,23 +323,6 @@ func TestMigrateMovesDataToFastTier(t *testing.T) {
 	if opt.Counters().BytesRead < 500*storage.KiB {
 		t.Fatalf("optane bytes read = %d", opt.Counters().BytesRead)
 	}
-}
-
-func TestStatAndFstat(t *testing.T) {
-	fs, _, _, _, _ := testFS()
-	fs.CreateFile("/data/s", 12345)
-	runSim(t, func(th *sim.Thread) {
-		fi, err := fs.Stat(th, "/data/s")
-		if err != nil || fi.Size != 12345 {
-			t.Fatalf("Stat = %+v, %v", fi, err)
-		}
-		fd, _ := fs.Open(th, "/data/s", O_RDONLY)
-		fi, err = fs.Fstat(th, fd)
-		if err != nil || fi.Size != 12345 {
-			t.Fatalf("Fstat = %+v, %v", fi, err)
-		}
-		fs.Close(th, fd)
-	})
 }
 
 func TestTotalBytesAndFiles(t *testing.T) {
@@ -394,16 +371,16 @@ func TestPropertyWriteReadRoundTrip(t *testing.T) {
 		ok := true
 		k := sim.NewKernel()
 		k.Spawn("t", func(th *sim.Thread) {
-			fd, err := fs.Open(th, "/data/rt", O_CREAT|O_WRONLY)
+			fd, err := fs.Open(th, 0, "/data/rt", O_CREAT|O_WRONLY)
 			if err != nil {
 				ok = false
 				return
 			}
-			fs.Write(th, fd, data)
+			fs.Pwrite(th, fd, data, 0)
 			fs.Close(th, fd)
-			fd, _ = fs.Open(th, "/data/rt", O_RDONLY)
+			fd, _ = fs.Open(th, 0, "/data/rt", O_RDONLY)
 			buf := make([]byte, len(data))
-			n, _ := fs.Read(th, fd, buf)
+			n, _ := fs.Pread(th, fd, buf, 0)
 			if n != len(data) {
 				ok = false
 			}
@@ -435,7 +412,7 @@ func TestPropertyChunkedScanCoversFile(t *testing.T) {
 		var total int64
 		k := sim.NewKernel()
 		k.Spawn("t", func(th *sim.Thread) {
-			fd, _ := fs.Open(th, "/data/scan", O_RDONLY)
+			fd, _ := fs.Open(th, 0, "/data/scan", O_RDONLY)
 			buf := make([]byte, ck)
 			off := int64(0)
 			for {
